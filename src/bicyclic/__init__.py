@@ -68,7 +68,6 @@ from .specfile import (
     parse_spec_unchecked,
 )
 from .coverage import (
-    KERNEL,
     CoverageReport,
     CrossCheckReport,
     coverage,

@@ -1,0 +1,65 @@
+"""Row-bitset coverage engine.
+
+Which elements of the square window arise as inverse(x) * y for members
+x, y of a set, computed on whole rows at once instead of pair by pair.
+
+For x = (a, c) and a member y in row r, inverse(x) * y is
+(c - a + t, y.j - r + t) with t = max(a, r), so
+
+- if r >= a, it lands in row c - a + r with the columns of y unchanged;
+- if r < a, it lands in row c with the columns of y shifted up by a - r.
+
+With R[r] the column mask of row r, the first case ORs R[r] into row
+r + (c - a) for every r >= a: among the x sharing the offset c - a, the
+one with the least a reaches every row the others reach, so only it is
+kept.  The second case ORs S(a) = OR over r < a of R[r] << (a - r) into
+row c; walking the rows upward with S = ((S | R[r]) << 1) & full yields
+S(a) on reaching row a.  Masks keep window + 1 bits: the product's row
+is at least x.j and its column at least y.j, and shifts only move bits
+up, so bits beyond the window never come back into it, and members with
+j > window are dropped.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+
+def cover_grid(xi: Sequence[int], xj: Sequence[int], window: int) -> list[int]:
+    """Column masks of the window rows reached by inverse(x) * y.
+
+    xi/xj are the coordinates of the members acting as both factors.  Bit
+    qj of entry qi in the returned list of window + 1 ints is set iff some
+    ordered pair (x, y) of members yields the element (qi, qj).
+    """
+    size = window + 1
+    full = (1 << size) - 1
+    out = [0] * size
+    usable = [(i, j) for i, j in zip(xi, xj) if j <= window]
+    if not usable:
+        return out
+
+    rows = [0] * (max(i for i, _ in usable) + 1)
+    least: dict[int, int] = {}
+    for i, j in usable:
+        rows[i] |= 1 << j
+        offset = j - i
+        if least.get(offset, i + 1) > i:
+            least[offset] = i
+
+    # r >= a: row r lands in row r + offset, which must stay in the window.
+    last_row = len(rows) - 1
+    for offset, a in least.items():
+        for r in range(a, min(last_row, window - offset) + 1):
+            out[r + offset] |= rows[r]
+
+    # r < a: the rows below a land shifted in row c.
+    targets: dict[int, list[int]] = {}
+    for a, c in usable:
+        targets.setdefault(a, []).append(c)
+    shifted = 0
+    for r in range(max(targets) + 1):
+        for c in targets.get(r, ()):
+            out[c] |= shifted
+        shifted = ((shifted | rows[r]) << 1) & full
+    return out

@@ -1,17 +1,19 @@
 """Command line interface.
 
 Exit status convention: 0 for yes/ok, 1 for no/refuted, 2 for errors
-(bad syntax, invalid parameters, unreadable files).
+(bad syntax, invalid parameters, unreadable files, a witness that fails
+verification, stdout closed before the output was written).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .coverage import KERNEL, coverage, cross_validate
+from .coverage import coverage, cross_validate
 from .elements import multiply, inverse, parse_element
 from .iorder import decide_left_iorder, decide_right_iorder, decision_lines
 from .render import render_window
@@ -84,7 +86,9 @@ def _cmd_witness(args) -> int:
             print(line)
         print("witness=refused")
         return 1
-    assert verify_witness(spec, w)
+    if not verify_witness(spec, w):
+        print(f"error=witness failed verification: {w}", file=sys.stderr)
+        return 2
     print(w)
     return 0
 
@@ -127,8 +131,7 @@ def _cmd_crosscheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicyclic",
-        description="Exact arithmetic and I-order decisions in the bicyclic monoid "
-        f"(coverage kernel: {KERNEL})",
+        description="Exact arithmetic and I-order decisions in the bicyclic monoid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,7 +185,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point stdout at
+        # /dev/null so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except SpecValidationError as exc:
         for violation in exc.violations:
             print(f"violation={violation}", file=sys.stderr)

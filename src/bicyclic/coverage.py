@@ -1,25 +1,22 @@
 """Brute-force coverage oracle and decision cross-validation.
 
-Coverage enumerates the subsemigroup inside a generous pair window and
-marks every product inverse(x) * y that lands in the report window.  For
-a left I-order the report window must come out fully covered; for a
-negative decision the certificate element must sit in the gaps.  Window
-checks refute but never prove, so negative confirmations are labeled
-evidence throughout.
+Coverage scans the subsemigroup inside a generous pair window and marks
+every product inverse(x) * y that lands in the report window.  For a left
+I-order the report window must come out fully covered; for a negative
+decision the certificate element must sit in the gaps.  Window checks
+refute but never prove, so negative confirmations are labeled evidence
+throughout.
 
-The pair loop is the package's one hot kernel.  A compiled extension is
-used when available, with a pure-Python twin selected at import time as
-the fallback (or forced via the BICYCLIC_PURE_KERNEL environment
-variable).
+The products are computed by the row-bitset engine in `_cover`, which
+works on whole rows of members as Python ints.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
+from . import _cover
 from .elements import Element
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import (
@@ -30,33 +27,18 @@ from .subsemigroups import (
     TwoSidedI,
     TwoSidedII,
     Upper,
+    _contains,
     closure_falsify,
-    enumerate_window,
     require_valid,
 )
 
 __all__ = [
-    "KERNEL",
     "CoverageReport",
     "CrossCheckReport",
     "default_pair_bound",
     "coverage",
     "cross_validate",
 ]
-
-if os.environ.get("BICYCLIC_PURE_KERNEL"):
-    from . import _cover_py as _cover
-
-    KERNEL = "python"
-else:
-    try:
-        from . import _cover  # type: ignore[attr-defined]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _cover_py as _cover
-
-        KERNEL = "python"
 
 
 @dataclass(frozen=True)
@@ -90,29 +72,22 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
 def coverage(
     spec: SubsemigroupSpec, window: int, pair_bound: Optional[int] = None
 ) -> CoverageReport:
-    """Enumerate pair products and partition the window into covered and gaps."""
+    """Scan the pair window's members and partition the window into covered and gaps."""
     require_valid(spec)
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
     if pair_bound is None:
         pair_bound = default_pair_bound(spec, window)
-    members = enumerate_window(spec, pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
-    # >= y.j, so members with j beyond the window cannot contribute.
-    usable = sorted(e for e in members if e.j <= window)
-    xi = array("q", [e.i for e in usable])
-    xj = array("q", [e.j for e in usable])
-    grid = _cover.cover_grid(xi, xj, window)
-    size = window + 1
-    covered = frozenset(
-        Element(i, j) for i in range(size) for j in range(size) if grid[i * size + j]
-    )
-    gaps = frozenset(
-        Element(i, j)
-        for i in range(size)
-        for j in range(size)
-        if not grid[i * size + j]
-    )
+    # >= y.j, so only members with j <= window can contribute.
+    columns = range(min(window, pair_bound) + 1)
+    usable = [
+        (i, j) for i in range(pair_bound + 1) for j in columns if _contains(spec, Element(i, j))
+    ]
+    rows = _cover.cover_grid([i for i, _ in usable], [j for _, j in usable], window)
+    size = range(window + 1)
+    covered = frozenset(Element(i, j) for i in size for j in size if rows[i] >> j & 1)
+    gaps = frozenset(Element(i, j) for i in size for j in size if not rows[i] >> j & 1)
     return CoverageReport(window, pair_bound, covered, gaps)
 
 

@@ -80,7 +80,10 @@ class Decision:
 
 def _decision(form: str, conditions: tuple[Condition, ...], certificate) -> Decision:
     verdict = all(c.holds for c in conditions)
-    assert verdict == (certificate is None)
+    if verdict != (certificate is None):
+        raise RuntimeError(
+            f"{form}: verdict {'yes' if verdict else 'no'} disagrees with certificate {certificate}"
+        )
     return Decision(verdict, form, conditions, certificate)
 
 

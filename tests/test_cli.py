@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from bicyclic import cli
 from bicyclic.cli import main
 from golden import CORPUS_DIR
 
@@ -94,6 +95,14 @@ def test_witness_refused(capsys):
     assert "witness=refused" in out and "verdict=no" in out
 
 
+def test_witness_that_fails_verification_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_witness", lambda spec, w: False)
+    assert main(["witness", corpus("r1"), "(3,5)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error=witness failed verification: q=(3,5) x=(0,3) y=(0,5) scheme=row0\n"
+
+
 def test_render_byte_exact(capsys):
     assert main(["render", corpus("r1"), "--window", "2"]) == 0
     assert capsys.readouterr().out == "# # #\n. . .\n. . .\n"
@@ -151,3 +160,18 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(4,1)\n"
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # the reader takes one line and closes the pipe while render still writes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bicyclic", "render", corpus("b_plus"), "--window", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"# # #")
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

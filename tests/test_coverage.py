@@ -1,15 +1,14 @@
 import random
-from array import array
-
-import pytest
 
 from bicyclic import (
     Diagonal,
     DiagonalTail,
     Element,
     IndexSet,
+    Lower,
     RowData,
     TwoSidedI,
+    TwoSidedII,
     Upper,
     coverage,
     cross_validate,
@@ -19,13 +18,7 @@ from bicyclic import (
     multiply,
     render_window,
 )
-from bicyclic import _cover_py
-from bicyclic.coverage import KERNEL
-
-try:
-    from bicyclic import _cover as _cover_ext
-except ImportError:
-    _cover_ext = None
+from bicyclic import _cover
 
 fs = frozenset
 
@@ -42,6 +35,25 @@ def brute_force_covered(spec, window, pair_bound):
             if q.i <= window and q.j <= window:
                 out.add(q)
     return out
+
+
+def pair_loop_grid(xi, xj, window):
+    """Reference oracle for the engine: every ordered pair, one at a time."""
+    out = set()
+    for i1, j1 in zip(xi, xj):
+        for i2, j2 in zip(xi, xj):
+            t = max(i1, i2)
+            qi, qj = j1 - i1 + t, j2 - i2 + t
+            if qi <= window and qj <= window:
+                out.add((qi, qj))
+    return out
+
+
+def engine_cells(xi, xj, window):
+    rows = _cover.cover_grid(xi, xj, window)
+    assert len(rows) == window + 1
+    assert all(0 <= row < 1 << (window + 1) for row in rows)
+    return {(qi, qj) for qi, row in enumerate(rows) for qj in range(window + 1) if row >> qj & 1}
 
 
 def test_r1_fully_covered():
@@ -65,16 +77,19 @@ def test_even_row_gaps_include_parity_witness():
 
 
 def test_coverage_matches_brute_force_definition():
-    # includes members with j beyond the window, so the kernel prefilter
-    # is exercised against the raw definition
+    # includes members with j beyond the window, so the column cut of the
+    # member scan is exercised against the raw definition; the lower and
+    # two-sided (ii) forms put members below the diagonal
     specs = [
         R1,
         B_PLUS,
         Diagonal(fs({Element(0, 0), Element(2, 2)})),
         TwoSidedI(0, 2, 1, fs({0, 1}), fs({0}), fs({Element(0, 0)}), fs({Element(0, 1)})),
+        Lower(fs({Element(0, 0)}), IndexSet(fs({0}), fs({1}), 3, 2), RowData(1)),
+        TwoSidedII(0, 2, 1, fs({0, 1}), fs({0}), fs({Element(0, 0)}), fs({Element(0, 1)})),
     ]
     for spec in specs:
-        for window, bound in ((3, 9), (4, 17)):
+        for window, bound in ((3, 9), (4, 17), (3, 0), (4, 3), (4, -1)):
             report = coverage(spec, window, pair_bound=bound)
             expected = brute_force_covered(spec, window, bound)
             assert report.covered == expected
@@ -105,38 +120,27 @@ def test_default_pair_bound_formula():
     assert default_pair_bound(t2, 10) == 3 * (2 * 10 + 0 + 2 + 4)
 
 
-class TestKernels:
-    def _random_case(self, rng):
-        n = rng.randint(0, 60)
-        xi = array("q", [rng.randint(0, 25) for _ in range(n)])
-        xj = array("q", [rng.randint(0, 25) for _ in range(n)])
-        return xi, xj, rng.randint(0, 12)
-
-    @pytest.mark.skipif(_cover_ext is None, reason="compiled kernel not built")
-    def test_compiled_and_pure_agree(self):
-        rng = random.Random(97)
-        for _ in range(50):
-            xi, xj, window = self._random_case(rng)
-            assert bytes(_cover_ext.cover_grid(xi, xj, window)) == bytes(
-                _cover_py.cover_grid(xi, xj, window)
-            )
-
-    def test_partitioned_union_is_deterministic(self):
-        rng = random.Random(11)
-        for kernel in [k for k in (_cover_ext, _cover_py) if k is not None]:
-            xi, xj, window = self._random_case(rng)
-            full = bytes(kernel.cover_grid(xi, xj, window))
-            n = len(xi)
-            cuts = sorted({0, n // 3, (2 * n) // 3, n})
-            merged = bytearray(len(full))
-            for lo, hi in zip(cuts, cuts[1:]):
-                part = kernel.cover_grid(xi, xj, window, lo, hi)
-                for idx, byte in enumerate(part):
-                    merged[idx] |= byte
-            assert bytes(merged) == full
-
-    def test_kernel_name_reported(self):
-        assert KERNEL in ("compiled", "python")
+def test_engine_matches_pair_loop():
+    # fixed cases: the empty set, window 0, and column 0 of a lower spec,
+    # whose rows run far past the window yet reach it, since x = (a, 0)
+    # and y = (r, 0) with r >= a give (r - a, 0); the random sets add
+    # more rows past the window and members with j < i
+    cases = [
+        ([], [], 0),
+        ([], [], 5),
+        ([0], [0], 0),
+        ([3, 1], [0, 2], 0),
+        (list(range(30)), [0] * 30, 3),
+    ]
+    rng = random.Random(97)
+    for _ in range(1200):
+        top = rng.randint(0, 40)
+        n = rng.randint(0, 50)
+        xi = [rng.randint(0, top) for _ in range(n)]
+        xj = [rng.randint(0, top) for _ in range(n)]
+        cases.append((xi, xj, rng.randint(0, 16)))
+    for xi, xj, window in cases:
+        assert engine_cells(xi, xj, window) == pair_loop_grid(xi, xj, window), (xi, xj, window)
 
 
 class TestCrossValidate:

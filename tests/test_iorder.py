@@ -1,6 +1,8 @@
 import pytest
 
 from bicyclic import (
+    Certificate,
+    Condition,
     Diagonal,
     Element,
     IndexSet,
@@ -21,6 +23,7 @@ from bicyclic import (
     multiply,
     parse_spec,
 )
+from bicyclic import iorder
 from golden import NO_ENTRIES, VALID_ENTRIES, YES_ENTRIES
 
 fs = frozenset
@@ -170,3 +173,13 @@ def test_decision_lines_format():
 def test_decide_rejects_invalid_spec():
     with pytest.raises(InvalidSpecError):
         decide_left_iorder(TwoSidedI(1, 3, 1, fs({2}), fs({0})))
+
+
+def test_verdict_and_certificate_must_agree():
+    # an explicit check, so it still runs under python -O
+    holds = (Condition("c", True),)
+    fails = (Condition("c", False),)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        iorder._decision("upper", holds, Certificate("c", Element(0, 1)))
+    with pytest.raises(RuntimeError, match="disagrees"):
+        iorder._decision("upper", fails, None)
