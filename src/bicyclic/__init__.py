@@ -22,15 +22,6 @@ from .elements import (
     parse_element,
 )
 from .words import multiply_via_rewriting, normalize_by_deletion, word_normalize
-from .regions import (
-    in_diagonal,
-    in_left_strip,
-    in_row,
-    in_rows,
-    in_square,
-    in_triangle,
-    reflected,
-)
 from .subsemigroups import (
     ClosureFailure,
     Diagonal,

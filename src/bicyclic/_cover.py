@@ -2,6 +2,8 @@
 
 Which elements of the square window arise as inverse(x) * y for members
 x, y of a set, computed on whole rows at once instead of pair by pair.
+The set comes as its row masks, the form every membership query in
+`subsemigroups` produces.
 
 For x = (a, c) and a member y in row r, inverse(x) * y is
 (c - a + t, y.j - r + t) with t = max(a, r), so
@@ -24,42 +26,32 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .subsemigroups import _set_bits
 
-def cover_grid(xi: Sequence[int], xj: Sequence[int], window: int) -> list[int]:
+
+def cover_grid(rows: Sequence[int], window: int) -> list[int]:
     """Column masks of the window rows reached by inverse(x) * y.
 
-    xi/xj are the coordinates of the members acting as both factors.  Bit
-    qj of entry qi in the returned list of window + 1 ints is set iff some
-    ordered pair (x, y) of members yields the element (qi, qj).
+    Bit j of rows[r] marks the member (r, j); the members act as both
+    factors.  Bit qj of entry qi in the returned list of window + 1 ints
+    is set iff some ordered pair (x, y) of members yields (qi, qj).
     """
     size = window + 1
     full = (1 << size) - 1
+    rows = [row & full for row in rows]
     out = [0] * size
-    usable = [(i, j) for i, j in zip(xi, xj) if j <= window]
-    if not usable:
-        return out
-
-    rows = [0] * (max(i for i, _ in usable) + 1)
     least: dict[int, int] = {}
-    for i, j in usable:
-        rows[i] |= 1 << j
-        offset = j - i
-        if least.get(offset, i + 1) > i:
-            least[offset] = i
+    shifted = 0
+    for r, row in enumerate(rows):
+        for c in _set_bits(row):
+            least.setdefault(c - r, r)
+            # r < a: the rows below r land shifted in row c.
+            out[c] |= shifted
+        shifted = ((shifted | row) << 1) & full
 
     # r >= a: row r lands in row r + offset, which must stay in the window.
     last_row = len(rows) - 1
     for offset, a in least.items():
         for r in range(a, min(last_row, window - offset) + 1):
             out[r + offset] |= rows[r]
-
-    # r < a: the rows below a land shifted in row c.
-    targets: dict[int, list[int]] = {}
-    for a, c in usable:
-        targets.setdefault(a, []).append(c)
-    shifted = 0
-    for r in range(max(targets) + 1):
-        for c in targets.get(r, ()):
-            out[c] |= shifted
-        shifted = ((shifted | rows[r]) << 1) & full
     return out

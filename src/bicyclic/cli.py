@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -106,7 +107,7 @@ def _cmd_coverage(args) -> int:
     print(f"pair_bound={report.pair_bound}")
     print(f"covered={len(report.covered)}")
     print(f"gaps={len(report.gaps)}")
-    for gap in sorted(report.gaps):
+    for gap in sorted(report.gaps, key=attrgetter("i", "j")):
         print(f"gap={gap}")
     return 0 if not report.gaps else 1
 

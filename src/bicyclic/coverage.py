@@ -7,8 +7,10 @@ decision the certificate element must sit in the gaps.  Window checks
 refute but never prove, so negative confirmations are labeled evidence
 throughout.
 
-The products are computed by the row-bitset engine in `_cover`, which
-works on whole rows of members as Python ints.
+The member scan reads the pair window as row masks, which the row-bitset
+engine in `_cover` turns into the reached rows of the report window.
+Windows and pair bounds above `WINDOW_LIMIT` are refused before anything
+of that size is built.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .subsemigroups import (
     TwoSidedI,
     TwoSidedII,
     Upper,
-    _contains,
+    _check_window,
+    _grid,
     closure_falsify,
     require_valid,
 )
@@ -78,13 +81,12 @@ def coverage(
         raise ValueError(f"window must be nonnegative, got {window}")
     if pair_bound is None:
         pair_bound = default_pair_bound(spec, window)
+    _check_window("window", window)
+    _check_window("pair bound", pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
     # >= y.j, so only members with j <= window can contribute.
-    columns = range(min(window, pair_bound) + 1)
-    usable = [
-        (i, j) for i in range(pair_bound + 1) for j in columns if _contains(spec, Element(i, j))
-    ]
-    rows = _cover.cover_grid([i for i, _ in usable], [j for _, j in usable], window)
+    members = _grid(spec, pair_bound + 1, min(window, pair_bound) + 1)
+    rows = _cover.cover_grid(members, window)
     size = range(window + 1)
     covered = frozenset(Element(i, j) for i in size for j in size if rows[i] >> j & 1)
     gaps = frozenset(Element(i, j) for i in size for j in size if not rows[i] >> j & 1)

@@ -175,10 +175,11 @@ def _decide_twosided_i(spec: TwoSidedI) -> Decision:
 
 
 def _decide_twosided_ii(spec: TwoSidedII) -> Decision:
-    wanted = frozenset(range(spec.p))
+    # Validation keeps I within {q, ..., p-1}, so I is all of {0, ..., p-1}
+    # exactly when q = 0 and I has p members.
     conditions = (
         Condition("d-is-1", spec.step == 1),
-        Condition("columns-0-to-p-covered", spec.row_indices == wanted),
+        Condition("columns-0-to-p-covered", spec.q == 0 and len(spec.row_indices) == spec.p),
     )
     if all(c.holds for c in conditions):
         return _decision(spec.form, conditions, None)
@@ -186,14 +187,13 @@ def _decide_twosided_ii(spec: TwoSidedII) -> Decision:
         cert = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
     else:
         # A missing column below p is an empty L-class provided neither FD
-        # nor the reflected triangle touches it.
-        fd = _diagonal_indices(spec)
-        triangle_rows = {e.i for e in spec.triangle_part}
-        uncovered = None
-        for m in sorted(wanted - spec.row_indices):
-            if m not in fd and m not in triangle_rows:
-                uncovered = Element(m, m)
-                break
+        # nor the reflected triangle touches it.  Each column the scan
+        # passes is in I, FD or a triangle row, which bounds the scan.
+        touched = spec.row_indices | _diagonal_indices(spec) | {e.i for e in spec.triangle_part}
+        m = 0
+        while m in touched:
+            m += 1
+        uncovered = Element(m, m) if m < spec.p else None
         reason = REASON_EMPTY_L_CLASS if uncovered is not None else None
         cert = Certificate("columns-0-to-p-covered", uncovered, reason)
     return _decision(spec.form, conditions, cert)
@@ -215,6 +215,9 @@ def decide_left_iorder(spec: SubsemigroupSpec) -> Decision:
     raise TypeError(f"not a subsemigroup spec: {spec!r}")
 
 
+_REFLECTION = {Upper: Lower, Lower: Upper, TwoSidedI: TwoSidedII, TwoSidedII: TwoSidedI}
+
+
 def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
     """The spec describing the diagonal reflection of the set.
 
@@ -225,21 +228,7 @@ def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
     require_valid(spec)
     if isinstance(spec, Diagonal):
         return spec
-    if isinstance(spec, Upper):
-        return Lower(spec.diagonal_part, spec.row_indices, spec.rows)
-    if isinstance(spec, Lower):
-        return Upper(spec.diagonal_part, spec.row_indices, spec.rows)
-    if isinstance(spec, TwoSidedI):
-        return TwoSidedII(
-            spec.q, spec.p, spec.step, spec.row_indices, spec.offsets,
-            spec.diagonal_part, spec.triangle_part,
-        )
-    if isinstance(spec, TwoSidedII):
-        return TwoSidedI(
-            spec.q, spec.p, spec.step, spec.row_indices, spec.offsets,
-            spec.diagonal_part, spec.triangle_part,
-        )
-    raise TypeError(f"not a subsemigroup spec: {spec!r}")
+    return _REFLECTION[type(spec)](**vars(spec))
 
 
 def decide_right_iorder(spec: SubsemigroupSpec) -> Decision:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from .elements import Element
-from .subsemigroups import SubsemigroupSpec, _contains, require_valid
+from .subsemigroups import SubsemigroupSpec, _check_window, _grid, require_valid
 
 __all__ = ["render_window"]
+
+_MARKS = str.maketrans("01", ".#")
 
 
 def render_window(spec: SubsemigroupSpec, window: int) -> str:
@@ -17,8 +18,10 @@ def render_window(spec: SubsemigroupSpec, window: int) -> str:
     require_valid(spec)
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
-    lines = []
-    for i in range(window + 1):
-        marks = ("#" if _contains(spec, Element(i, j)) else "." for j in range(window + 1))
-        lines.append(" ".join(marks))
-    return "\n".join(lines)
+    _check_window("window", window)
+    size = window + 1
+    # format() writes column 0 last, so each row's bits are reversed
+    return "\n".join(
+        " ".join(format(row, f"0{size}b")[::-1].translate(_MARKS))
+        for row in _grid(spec, size, size)
+    )

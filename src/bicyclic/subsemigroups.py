@@ -6,24 +6,34 @@ reflections) that share one modular spacing, and the two two-sided forms
 that combine a finite triangle with infinite rows and a modular square.
 
 Each form is plain immutable data.  `validate` checks the parameter
-constraints and returns violations as data rather than raising,
-`contains` decides membership exactly for arbitrary elements,
-`enumerate_window` lists the members of a square window, and
-`closure_falsify` searches a window for a pair whose product escapes the
-described set.  The classification guarantees every subsemigroup has one
-of these shapes; the converse is not guaranteed, so the decision
-procedures downstream assume the data denotes a genuine subsemigroup and
+constraints and returns violations as data rather than raising.
+
+Membership has one primitive.  Row by row, every form is a finite set
+plus arithmetic progressions, so each form's `row_bits(i, lo, width)`
+builds the column bits lo .. lo + width - 1 of row i straight from the
+parameters.  Lower and two-sided (ii) are the diagonal reflections of
+upper and two-sided (i) with the same parameters: their `reflected`
+flag says to read the primitive at hat(x), and their grids are the
+transposed grids of the upper orientation.  `contains` is the primitive
+at one column; `enumerate_window`, rendering, the coverage member scan
+and `closure_falsify` work on grids of whole rows.
+
+The classification guarantees every subsemigroup has one of these
+shapes; the converse is not guaranteed, so the decision procedures
+downstream assume the data denotes a genuine subsemigroup and
 `closure_falsify` provides bounded assurance of that.
+
+Window-sized work is bounded: windows and pair bounds above
+`WINDOW_LIMIT` raise ValueError before anything of that size is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Iterator, Optional, Union
 
-from .elements import Element, multiply
-from .regions import in_square
+from .elements import Element, hat, multiply
 
 __all__ = [
     "IndexSet",
@@ -44,7 +54,14 @@ __all__ = [
     "contains",
     "enumerate_window",
     "closure_falsify",
+    "WINDOW_LIMIT",
 ]
+
+# Largest window or pair bound that window-sized work accepts.
+WINDOW_LIMIT = 500
+
+# Distinct specs whose validation reports are kept.
+VALIDATE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -70,10 +87,12 @@ class IndexSet:
         return not self.fixed and not self.residues
 
     def is_full(self) -> bool:
-        """True iff the set is all of {0, 1, 2, ...}."""
-        return self.fixed == frozenset(range(self.start)) and self.residues == frozenset(
-            range(self.step)
-        )
+        """True iff the set is all of {0, 1, 2, ...}.
+
+        Counts suffice because the fixed part lies in {0, ..., start-1}
+        and the residues in {0, ..., step-1}.
+        """
+        return len(self.fixed) == self.start and len(self.residues) == self.step
 
     def min(self) -> Optional[int]:
         candidates = list(self.fixed)
@@ -92,9 +111,6 @@ class IndexSet:
             if k not in self and k not in forbidden:
                 return k
         return None
-
-    def members_upto(self, bound: int) -> list[int]:
-        return [k for k in range(bound + 1) if k in self]
 
 
 @dataclass(frozen=True)
@@ -144,6 +160,29 @@ class DiagonalTail:
         return n >= self.start and n % self.step == self.residue
 
 
+def _progression(first: int, step: int, lo: int, width: int) -> int:
+    """Bits of the columns first, first + step, ... among lo .. lo + width - 1."""
+    if first < lo:
+        first += (lo - first + step - 1) // step * step
+    offset = first - lo
+    if offset >= width:
+        return 0
+    count = (width - 1 - offset) // step + 1
+    if count == 1:
+        return 1 << offset
+    # count > 1 means step < width, so the repunit stays within 2 * width bits
+    return ((1 << count * step) - 1) // ((1 << step) - 1) << offset
+
+
+def _finite_bits(elements: frozenset[Element], i: int, lo: int, width: int) -> int:
+    """Bits of the columns that `elements` holds in row i among lo .. lo + width - 1."""
+    bits = 0
+    for e in elements:
+        if e.i == i and lo <= e.j < lo + width:
+            bits |= 1 << (e.j - lo)
+    return bits
+
+
 @dataclass(frozen=True)
 class Diagonal:
     """A subset of the diagonal: finitely many idempotents plus an optional tail."""
@@ -152,49 +191,70 @@ class Diagonal:
     tail: Optional[DiagonalTail] = None
 
     form: ClassVar[str] = "diagonal"
+    reflected: ClassVar[bool] = False
+
+    def row_bits(self, i: int, lo: int, width: int) -> int:
+        """Column bits lo .. lo + width - 1 of row i."""
+        bits = _finite_bits(self.elements, i, lo, width)
+        if self.tail is not None and i in self.tail and lo <= i < lo + width:
+            bits |= 1 << (i - lo)
+        return bits
 
 
 @dataclass(frozen=True)
-class Upper:
+class _RowFamily:
     """Rows on or above the diagonal sharing one modular spacing.
 
     Denotes diagonal_part | union over i in row_indices of
-    (extras of row i) | {(i, j) : step | j - i, j >= threshold(i)}.
+    (extras of row i) | {(i, j) : step | j - i, j >= threshold(i)},
+    or its diagonal reflection when `reflected` is set.
     """
 
     diagonal_part: frozenset[Element] = frozenset()
     row_indices: IndexSet = field(default_factory=IndexSet)
     rows: RowData = field(default_factory=RowData)
 
+    reflected: ClassVar[bool] = False
+
+    @property
+    def step(self) -> int:
+        return self.row_indices.step
+
+    def row_bits(self, i: int, lo: int, width: int) -> int:
+        """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
+        bits = _finite_bits(self.diagonal_part, i, lo, width)
+        if i not in self.row_indices:
+            return bits
+        t = self.rows.threshold(i)
+        bits |= _progression(t + (i - t) % self.step, self.step, lo, width)
+        ov = self.rows.override_for(i)
+        if ov is not None:
+            bits |= _finite_bits(ov.extra, i, lo, width)
+        return bits
+
+
+class Upper(_RowFamily):
+    """Rows on or above the diagonal sharing one modular spacing."""
+
     form: ClassVar[str] = "upper"
 
-    @property
-    def step(self) -> int:
-        return self.row_indices.step
 
-
-@dataclass(frozen=True)
-class Lower:
+class Lower(_RowFamily):
     """Diagonal reflection of the upper form with the same parameters."""
 
-    diagonal_part: frozenset[Element] = frozenset()
-    row_indices: IndexSet = field(default_factory=IndexSet)
-    rows: RowData = field(default_factory=RowData)
-
     form: ClassVar[str] = "lower"
-
-    @property
-    def step(self) -> int:
-        return self.row_indices.step
+    reflected: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
-class TwoSidedI:
-    """Triangle side up: diagonal part, triangle part, rows, and a square.
+class _TwoSided:
+    """Diagonal part, triangle part, rows, and a modular square.
 
     Denotes diagonal_part | triangle_part
             | {(i, j) : i in row_indices, step | j - i, j >= p}
-            | the modular square at corner p with the given offsets.
+            | the modular square at corner p with the given offsets,
+    or the diagonal reflection of all but the square, which reflection
+    fixes, when `reflected` is set.
     """
 
     q: int
@@ -204,27 +264,33 @@ class TwoSidedI:
     offsets: frozenset[int]
     diagonal_part: frozenset[Element] = frozenset()
     triangle_part: frozenset[Element] = frozenset()
+
+    reflected: ClassVar[bool] = False
+
+    def row_bits(self, i: int, lo: int, width: int) -> int:
+        """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
+        bits = _finite_bits(self.diagonal_part, i, lo, width)
+        bits |= _finite_bits(self.triangle_part, i, lo, width)
+        if i in self.row_indices:
+            bits |= _progression(self.p + (i - self.p) % self.step, self.step, lo, width)
+        for r in self.offsets:
+            corner = self.p + r
+            if i >= corner and (i - corner) % self.step == 0:
+                bits |= _progression(corner, self.step, lo, width)
+        return bits
+
+
+class TwoSidedI(_TwoSided):
+    """Triangle side up: diagonal part, triangle part, rows, and a square."""
 
     form: ClassVar[str] = "twosided-i"
 
 
-@dataclass(frozen=True)
-class TwoSidedII:
-    """Triangle side down: reflection of the non-square parts of form (i).
-
-    The square is symmetric under reflection, so only the triangle and the
-    rows flip below the diagonal.
-    """
-
-    q: int
-    p: int
-    step: int
-    row_indices: frozenset[int]
-    offsets: frozenset[int]
-    diagonal_part: frozenset[Element] = frozenset()
-    triangle_part: frozenset[Element] = frozenset()
+class TwoSidedII(_TwoSided):
+    """Triangle side down: reflection of the non-square parts of form (i)."""
 
     form: ClassVar[str] = "twosided-ii"
+    reflected: ClassVar[bool] = True
 
 
 SubsemigroupSpec = Union[Diagonal, Upper, Lower, TwoSidedI, TwoSidedII]
@@ -283,7 +349,7 @@ def _validate_index_set(idx: IndexSet, violations: list[str]) -> None:
             violations.append(f"R within {{0,...,d-1}} fails: {r} with d={idx.step}")
 
 
-def _validate_row_family(spec: Union[Upper, Lower]) -> ValidationReport:
+def _validate_row_family(spec: _RowFamily) -> ValidationReport:
     violations: list[str] = []
     notes: list[str] = []
     idx = spec.row_indices
@@ -326,7 +392,7 @@ def _validate_row_family(spec: Union[Upper, Lower]) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
-def _validate_two_sided(spec: Union[TwoSidedI, TwoSidedII]) -> ValidationReport:
+def _validate_two_sided(spec: _TwoSided) -> ValidationReport:
     violations: list[str] = []
     notes: list[str] = []
     if spec.step < 1:
@@ -364,14 +430,14 @@ def _validate_two_sided(spec: Union[TwoSidedI, TwoSidedII]) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VALIDATE_CACHE_SIZE)
 def validate(spec: SubsemigroupSpec) -> ValidationReport:
     """Check every parameter constraint; violations come back as data."""
     if isinstance(spec, Diagonal):
         return _validate_diagonal(spec)
-    if isinstance(spec, (Upper, Lower)):
+    if isinstance(spec, _RowFamily):
         return _validate_row_family(spec)
-    if isinstance(spec, (TwoSidedI, TwoSidedII)):
+    if isinstance(spec, _TwoSided):
         return _validate_two_sided(spec)
     raise TypeError(f"not a subsemigroup spec: {spec!r}")
 
@@ -382,50 +448,36 @@ def require_valid(spec: SubsemigroupSpec) -> None:
         raise InvalidSpecError(report)
 
 
-def _in_row_family(spec: Union[Upper, Lower], row: int, col: int) -> bool:
-    # Shared body for the upper form and its reflection: `row`/`col` are
-    # already in the stored (upper) orientation.
-    idx = spec.row_indices
-    if row not in idx:
-        return False
-    ov = spec.rows.override_for(row)
-    if ov is not None and Element(row, col) in ov.extra:
-        return True
-    return col >= spec.rows.threshold(row) and (col - row) % idx.step == 0
+def _check_window(name: str, value: int) -> None:
+    """Refuse window-sized work beyond WINDOW_LIMIT, before any of it is built."""
+    if value > WINDOW_LIMIT:
+        raise ValueError(f"{name} {value} exceeds the limit {WINDOW_LIMIT}")
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _contains(spec: SubsemigroupSpec, x: Element) -> bool:
-    if isinstance(spec, Diagonal):
-        if x.i != x.j:
-            return False
-        return x in spec.elements or (spec.tail is not None and x.i in spec.tail)
-    if isinstance(spec, Upper):
-        return x in spec.diagonal_part or _in_row_family(spec, x.i, x.j)
-    if isinstance(spec, Lower):
-        return x in spec.diagonal_part or _in_row_family(spec, x.j, x.i)
-    if isinstance(spec, TwoSidedI):
-        return (
-            x in spec.diagonal_part
-            or x in spec.triangle_part
-            or (
-                x.i in spec.row_indices
-                and x.j >= spec.p
-                and (x.j - x.i) % spec.step == 0
-            )
-            or in_square(x, spec.p, spec.step, spec.offsets)
-        )
-    if isinstance(spec, TwoSidedII):
-        return (
-            x in spec.diagonal_part
-            or Element(x.j, x.i) in spec.triangle_part
-            or (
-                x.j in spec.row_indices
-                and x.i >= spec.p
-                and (x.i - x.j) % spec.step == 0
-            )
-            or in_square(x, spec.p, spec.step, spec.offsets)
-        )
-    raise TypeError(f"not a subsemigroup spec: {spec!r}")
+    if spec.reflected:
+        x = hat(x)
+    return spec.row_bits(x.i, x.j, 1) == 1
+
+
+def _grid(spec: SubsemigroupSpec, rows: int, cols: int) -> list[int]:
+    """Column masks of rows 0 .. rows-1, over columns 0 .. cols-1."""
+    if not spec.reflected:
+        return [spec.row_bits(i, 0, cols) for i in range(rows)]
+    # A reflected grid is the transposed grid of the upper orientation.
+    grid = [0] * max(rows, 0)
+    for j in range(cols):
+        for i in _set_bits(spec.row_bits(j, 0, rows)):
+            grid[i] |= 1 << j
+    return grid
 
 
 def contains(spec: SubsemigroupSpec, x: Element) -> bool:
@@ -437,12 +489,9 @@ def contains(spec: SubsemigroupSpec, x: Element) -> bool:
 def enumerate_window(spec: SubsemigroupSpec, window: int) -> set[Element]:
     """All members with both coordinates at most `window`."""
     require_valid(spec)
-    return {
-        Element(i, j)
-        for i in range(window + 1)
-        for j in range(window + 1)
-        if _contains(spec, Element(i, j))
-    }
+    _check_window("window", window)
+    size = window + 1
+    return {Element(i, j) for i, row in enumerate(_grid(spec, size, size)) for j in _set_bits(row)}
 
 
 @dataclass(frozen=True)
@@ -460,12 +509,28 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     Returns the first failing pair in sorted order, or None.  A None
     result is evidence that the data denotes a genuine subsemigroup, not
     a proof: products of elements outside the window are never examined.
+
+    For x = (k, l) and the members y = (m, n) of row m, the product
+    x * y is (k - l + t, n + t - m) with t = max(l, m): the whole row
+    lands in one row, shifted by t - m.  One product with the row's
+    least member gives both, and the shifted row must be a subset of
+    the row it lands in.  Products of window members stay within
+    2 * window in both coordinates, so one grid of that size holds every
+    row they land in.
     """
     require_valid(spec)
-    members = sorted(enumerate_window(spec, window))
-    for x in members:
-        for y in members:
-            prod = multiply(x, y)
-            if not _contains(spec, prod):
-                return ClosureFailure(x, y, prod)
+    _check_window("window", window)
+    size = window + 1
+    span = _grid(spec, 2 * window + 1, 2 * window + 1)
+    rows = [row & ((1 << size) - 1) for row in span[:size]]
+    heads = [(row, Element(m, (row & -row).bit_length() - 1)) for m, row in enumerate(rows) if row]
+    for k, members in enumerate(rows):
+        for l in _set_bits(members):
+            x = Element(k, l)
+            for row, head in heads:
+                z = multiply(x, head)
+                escaped = row & ~(span[z.i] >> (z.j - head.j))
+                if escaped:
+                    y = Element(head.i, (escaped & -escaped).bit_length() - 1)
+                    return ClosureFailure(x, y, multiply(x, y))
     return None

@@ -50,7 +50,10 @@ def pair_loop_grid(xi, xj, window):
 
 
 def engine_cells(xi, xj, window):
-    rows = _cover.cover_grid(xi, xj, window)
+    members = [0] * (max(xi, default=-1) + 1)
+    for i, j in zip(xi, xj):
+        members[i] |= 1 << j
+    rows = _cover.cover_grid(members, window)
     assert len(rows) == window + 1
     assert all(0 <= row < 1 << (window + 1) for row in rows)
     return {(qi, qj) for qi, row in enumerate(rows) for qj in range(window + 1) if row >> qj & 1}

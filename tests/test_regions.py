@@ -1,15 +1,9 @@
+"""The region predicates of the test-only membership oracle."""
+
 import pytest
 
-from bicyclic import (
-    Element,
-    in_diagonal,
-    in_left_strip,
-    in_row,
-    in_rows,
-    in_square,
-    in_triangle,
-    reflected,
-)
+from bicyclic import Element
+from membership_oracle import in_diagonal, in_row, in_rows, in_square, reflected
 
 WINDOW = [Element(i, j) for i in range(30) for j in range(30)]
 
@@ -18,20 +12,6 @@ def test_in_diagonal_examples():
     assert in_diagonal(Element(3, 3))
     assert in_diagonal(Element(0, 0))
     assert not in_diagonal(Element(3, 4))
-
-
-def test_in_left_strip_examples():
-    assert in_left_strip(Element(5, 2), 3)
-    assert in_left_strip(Element(0, 0), 0)
-    assert not in_left_strip(Element(1, 4), 3)
-
-
-def test_in_triangle_examples():
-    assert in_triangle(Element(3, 5), 3, 7)
-    assert in_triangle(Element(3, 3), 3, 7)
-    assert not in_triangle(Element(3, 7), 3, 7)
-    with pytest.raises(ValueError):
-        in_triangle(Element(0, 0), 5, 3)
 
 
 def test_in_row_examples():
@@ -56,7 +36,7 @@ def test_in_square_examples():
 def test_reflected_examples():
     assert reflected(lambda e: in_row(e, 1, 7, 3), Element(10, 1))
     assert reflected(in_diagonal, Element(3, 3))
-    assert reflected(lambda e: in_triangle(e, 3, 7), Element(5, 3))
+    assert not reflected(lambda e: in_row(e, 1, 7, 3), Element(1, 10))
 
 
 def test_rows_union_equals_direct_formula():
@@ -75,8 +55,6 @@ def test_square_with_unit_step_is_quadrant():
 def test_double_reflection_is_identity():
     preds = [
         in_diagonal,
-        lambda e: in_left_strip(e, 4),
-        lambda e: in_triangle(e, 2, 9),
         lambda e: in_row(e, 3, 5, 2),
         lambda e: in_square(e, 4, 3, {0, 1}),
     ]

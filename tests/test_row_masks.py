@@ -1,0 +1,229 @@
+"""Row masks, the one membership primitive, against the element oracle.
+
+Grids, scalar membership and the closure probe are checked against the
+test-only oracle in `membership_oracle`, on the corpus and on seeded
+random specs of all five forms; decisions on huge parameters must not
+grow with them; window-sized work is refused beyond the limit.
+"""
+
+import random
+
+import pytest
+
+import membership_oracle as oracle
+from bicyclic import (
+    Diagonal,
+    DiagonalTail,
+    Element,
+    IndexSet,
+    Lower,
+    RowData,
+    RowOverride,
+    TwoSidedI,
+    TwoSidedII,
+    Upper,
+    closure_falsify,
+    contains,
+    coverage,
+    decide_left_iorder,
+    decompose,
+    enumerate_window,
+    inverse,
+    multiply,
+    render_window,
+    validate,
+)
+from bicyclic.cli import main
+from bicyclic.subsemigroups import VALIDATE_CACHE_SIZE, WINDOW_LIMIT, _grid
+from golden import CORPUS_DIR
+from test_random_specs import random_diagonal, random_row_family, random_two_sided
+
+fs = frozenset
+FAR = 10**12
+
+
+def random_specs(seed, count):
+    """`count` valid specs, drawn evenly from the five forms."""
+    rng = random.Random(seed)
+    makers = (random_diagonal, random_row_family, random_two_sided)
+    specs = []
+    while len(specs) < count:
+        spec = makers[len(specs) % 3](rng)
+        if spec is not None and validate(spec).ok:
+            specs.append(spec)
+    return specs
+
+
+def lift(spec, b):
+    """The same spec moved b steps down the diagonal: (i, j) -> (i + b, j + b)."""
+    up = lambda elements: fs(Element(e.i + b, e.j + b) for e in elements)
+    if isinstance(spec, Diagonal):
+        tail = spec.tail
+        if tail is not None:
+            tail = DiagonalTail(tail.start + b, tail.step, (tail.residue + b) % tail.step)
+        return Diagonal(up(spec.elements), tail)
+    if isinstance(spec, (Upper, Lower)):
+        idx = spec.row_indices
+        lifted = IndexSet(
+            fs(k + b for k in idx.fixed),
+            fs((r + b) % idx.step for r in idx.residues),
+            idx.start + b,
+            idx.step,
+        )
+        overrides = tuple(RowOverride(ov.row + b, ov.m + b, up(ov.extra)) for ov in spec.rows.overrides)
+        return type(spec)(up(spec.diagonal_part), lifted, RowData(spec.rows.m_default + b, overrides))
+    return type(spec)(
+        spec.q + b, spec.p + b, spec.step, fs(k + b for k in spec.row_indices),
+        spec.offsets, up(spec.diagonal_part), up(spec.triangle_part),
+    )
+
+
+def grid_cells(spec, rows, cols):
+    return {Element(i, j) for i, row in enumerate(_grid(spec, rows, cols)) for j in range(cols) if row >> j & 1}
+
+
+def test_random_specs_cover_all_five_forms():
+    forms = {spec.form for spec in random_specs(5, 800)}
+    assert forms == {"diagonal", "upper", "lower", "twosided-i", "twosided-ii"}
+
+
+def test_grids_equal_the_oracle(corpus_specs):
+    # rows past the window (25 x 8), columns past it (8 x 25), and the
+    # square window; lower forms put members below the diagonal (j < i)
+    specs = list(corpus_specs.values()) + random_specs(11, 800)
+    below_diagonal = 0
+    for spec in specs:
+        for rows, cols in ((25, 8), (8, 25)):
+            expected = oracle.members(spec, rows, cols)
+            assert grid_cells(spec, rows, cols) == expected, (spec, rows, cols)
+            below_diagonal += any(e.j < e.i for e in expected)
+        assert enumerate_window(spec, 12) == oracle.members(spec, 13, 13), spec
+        assert _grid(spec, 0, 5) == [] and _grid(spec, 3, 0) == [0, 0, 0]
+    assert below_diagonal > 200
+
+
+def test_scalar_membership_far_out_equals_the_oracle(corpus_specs):
+    specs = list(corpus_specs.values()) + random_specs(13, 400)
+    near = range(0, 9)
+    for spec in specs:
+        lifted = lift(spec, FAR)
+        assert validate(lifted).ok, lifted
+        for a in near:
+            for b in near:
+                x = Element(a, b)
+                far = Element(FAR + a, FAR + b)
+                assert contains(lifted, far) == oracle.contains(lifted, far) == contains(spec, x), (spec, x)
+                for y in (Element(a, FAR + b), Element(FAR + a, b), far):
+                    assert contains(spec, y) == oracle.contains(spec, y), (spec, y)
+
+
+def test_witnesses_far_out(corpus_specs):
+    # membership and the product only: the rewriting oracle in
+    # verify_witness spells out words as long as the coordinates
+    for spec in corpus_specs.values():
+        if not decide_left_iorder(spec).verdict:
+            continue
+        for q in (Element(FAR, 5), Element(5, FAR), Element(FAR, FAR)):
+            w = decompose(spec, q)
+            assert multiply(inverse(w.x), w.y) == q and w.x.i == w.y.i, (spec, w)
+            assert contains(spec, w.x) and contains(spec, w.y), (spec, w)
+            assert oracle.contains(spec, w.x) and oracle.contains(spec, w.y), (spec, w)
+
+
+def test_closure_probe_equals_the_pair_loop(corpus_specs):
+    rng = random.Random(2024)
+    # two-sided specs fail closure most often
+    makers = (random_diagonal, random_row_family) + (random_two_sided,) * 4
+    failing = 0
+    cases = 0
+    while cases < 420:
+        spec = makers[cases % len(makers)](rng)
+        if spec is None or not validate(spec).ok:
+            continue
+        cases += 1
+        for window in (3, 6, 10):
+            expected = oracle.closure_falsify(spec, window)
+            assert closure_falsify(spec, window) == expected, (spec, window)
+            failing += expected is not None
+    for spec in corpus_specs.values():
+        for window in (0, 3, 6, 10):
+            assert closure_falsify(spec, window) is None
+    assert failing >= 300, failing
+
+
+class TestHugeParameters:
+    """Decisions cost O(spec data), not O(p) or O(N)."""
+
+    P = 10**18
+
+    def test_twosided_ii_missing_column(self):
+        spec = TwoSidedII(0, self.P, 1, fs({0, 1, 3}), fs({0}), fs({Element(0, 0)}), fs({Element(2, 4)}))
+        decision = decide_left_iorder(spec)
+        assert not decision.verdict
+        assert decision.certificate.uncovered == Element(4, 4)
+
+    def test_twosided_ii_q_above_zero(self):
+        spec = TwoSidedII(2, self.P, 1, fs({2}), fs({0}))
+        assert decide_left_iorder(spec).certificate.uncovered == Element(0, 0)
+
+    def test_lower_missing_column(self):
+        spec = Lower(fs({Element(0, 0)}), IndexSet(fs({1}), fs({0}), self.P, 1), RowData(0))
+        assert not spec.row_indices.is_full()
+        decision = decide_left_iorder(spec)
+        assert not decision.verdict
+        assert decision.certificate.uncovered == Element(2, 2)
+
+    def test_upper_and_twosided_i_thresholds(self):
+        upper = Upper(fs({Element(0, 0)}), IndexSet(fs({0}), fs(), 1, 1), RowData(self.P))
+        assert decide_left_iorder(upper).certificate.uncovered == Element(0, 1)
+        two = TwoSidedI(0, self.P, 1, fs({0}), fs({0}), fs(), fs({Element(0, 1)}))
+        assert decide_left_iorder(two).certificate.uncovered == Element(0, 0)
+
+
+def test_validate_cache_is_bounded():
+    validate.cache_clear()
+    for k in range(VALIDATE_CACHE_SIZE + 50):
+        validate(Diagonal(fs({Element(k, k)})))
+    assert validate.cache_info().currsize == VALIDATE_CACHE_SIZE
+
+
+R1 = Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0))
+HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coverage(R1, HUGE),
+        lambda: coverage(R1, HUGE, pair_bound=0),
+        lambda: coverage(R1, 5, pair_bound=HUGE),
+        lambda: coverage(TwoSidedI(0, HUGE, 1, fs({0}), fs({0})), 5),
+        lambda: coverage(Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(HUGE)), 5),
+        lambda: render_window(R1, HUGE),
+        lambda: closure_falsify(R1, HUGE),
+        lambda: enumerate_window(R1, HUGE),
+    ],
+)
+def test_window_sized_work_is_refused_beyond_the_limit(call):
+    with pytest.raises(ValueError, match=f"exceeds the limit {WINDOW_LIMIT}"):
+        call()
+
+
+def test_limit_itself_is_accepted():
+    assert coverage(R1, 3, pair_bound=WINDOW_LIMIT).gaps == fs()
+    assert render_window(R1, WINDOW_LIMIT).count("\n") == WINDOW_LIMIT
+
+
+def test_cli_refuses_huge_windows(capsys):
+    spec = str(CORPUS_DIR / "r1.spec")
+    for argv in (
+        ["coverage", spec, "--window", str(HUGE)],
+        ["coverage", spec, "--window", str(HUGE), "--pairs", "0"],
+        ["coverage", spec, "--window", "3", "--pairs", str(HUGE)],
+        ["render", spec, "--window", str(HUGE)],
+        ["crosscheck", spec, "--window", str(HUGE)],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeds the limit" in err and err.startswith("error=")

@@ -55,10 +55,6 @@ class TestIndexSet:
         assert idx.first_gap() == 0
         assert idx.first_gap(forbidden=fs({0, 1, 2, 3, 4})) is None
 
-    def test_members_upto(self):
-        idx = IndexSet(fs({1}), fs({0}), 4, 2)
-        assert idx.members_upto(8) == [1, 4, 6, 8]
-
 
 class TestValidate:
     def test_q_in_i_violation(self):
