@@ -4,9 +4,9 @@ The monoid is generated by a and b with ba = 1; elements live in normal
 form a^i b^j as exponent pairs.  On top of the arithmetic the package
 describes subsemigroups by the five-form classification, decides which of
 them are left (and right) I-orders, produces verified straight
-decompositions q = inverse(x) * y with x R y, and cross-validates every
-decision against a brute-force coverage oracle and an independent string
-rewriting implementation of the arithmetic.
+decompositions q = inverse(x) * y with x R y, checked through a max-plus
+matrix image of the monoid that shares no code with the arithmetic, and
+cross-validates every decision against a brute-force coverage oracle.
 """
 
 from .elements import (
@@ -21,7 +21,7 @@ from .elements import (
     multiply,
     parse_element,
 )
-from .words import multiply_via_rewriting, normalize_by_deletion, word_normalize
+from .words import word_normalize
 from .subsemigroups import (
     ClosureFailure,
     Diagonal,

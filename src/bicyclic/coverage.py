@@ -8,7 +8,8 @@ refute but never prove, so negative confirmations are labeled evidence
 throughout.
 
 The member scan reads the pair window as row masks, which the row-bitset
-engine in `_cover` turns into the reached rows of the report window.
+engine in `_cover` turns into the reached rows of the report window; the
+report keeps those rows and spells out only its gaps as elements.
 Windows and pair bounds above `WINDOW_LIMIT` are refused before anything
 of that size is built.
 """
@@ -16,6 +17,7 @@ of that size is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import _cover
@@ -23,7 +25,6 @@ from .elements import Element
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import (
     ClosureFailure,
-    Diagonal,
     Lower,
     SubsemigroupSpec,
     TwoSidedI,
@@ -31,6 +32,7 @@ from .subsemigroups import (
     Upper,
     _check_window,
     _grid,
+    _set_bits,
     closure_falsify,
     require_valid,
 )
@@ -46,20 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Which window elements arise as inverse(x) * y over the member pairs."""
+    """Window coverage: bit j of rows[i] is set iff (i, j) is some inverse(x) * y."""
 
     window: int
     pair_bound: int
-    covered: frozenset[Element]
-    gaps: frozenset[Element]
+    rows: tuple[int, ...]
 
-
-def _growth_params(spec: SubsemigroupSpec) -> tuple[int, int]:
-    if isinstance(spec, (Upper, Lower)):
-        return 0, spec.rows.m_default
-    if isinstance(spec, (TwoSidedI, TwoSidedII)):
-        return spec.p, 0
-    return 0, 0
+    @cached_property
+    def gaps(self) -> tuple[Element, ...]:
+        """The uncovered window elements, in (i, j) order."""
+        full = (1 << (self.window + 1)) - 1
+        return tuple(Element(i, j) for i, row in enumerate(self.rows) for j in _set_bits(full & ~row))
 
 
 def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
@@ -68,14 +67,15 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
     Follows the coordinate growth of the witness formulas, with slack:
     3 * (2 * window + p + m_default + 4).
     """
-    p, m_default = _growth_params(spec)
+    p = spec.p if isinstance(spec, (TwoSidedI, TwoSidedII)) else 0
+    m_default = spec.rows.m_default if isinstance(spec, (Upper, Lower)) else 0
     return 3 * (2 * window + p + m_default + 4)
 
 
 def coverage(
     spec: SubsemigroupSpec, window: int, pair_bound: Optional[int] = None
 ) -> CoverageReport:
-    """Scan the pair window's members and partition the window into covered and gaps."""
+    """Scan the pair window's members and mark the window rows they cover."""
     require_valid(spec)
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
@@ -86,11 +86,7 @@ def coverage(
     # A product inverse(x) * y has first coordinate >= x.j and second
     # >= y.j, so only members with j <= window can contribute.
     members = _grid(spec, pair_bound + 1, min(window, pair_bound) + 1)
-    rows = _cover.cover_grid(members, window)
-    size = range(window + 1)
-    covered = frozenset(Element(i, j) for i in size for j in size if rows[i] >> j & 1)
-    gaps = frozenset(Element(i, j) for i in size for j in size if not rows[i] >> j & 1)
-    return CoverageReport(window, pair_bound, covered, gaps)
+    return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,7 @@ def cross_validate(
         if cert is not None and cert.uncovered is not None:
             c = cert.uncovered
             if c.i <= window and c.j <= window:
-                passed = c in report.gaps
+                passed = not report.rows[c.i] >> c.j & 1
                 notes.append(
                     f"certificate {c} confirmed uncovered (evidence, not proof)"
                     if passed

@@ -72,13 +72,23 @@ _KEYS_BY_FORM = {
     "twosided-ii": {"q", "p", "d", "I", "P", "FD", "F"},
 }
 
-_ELEMENT_RE = re.compile(r"\((\d+),(\d+)\)")
+# ASCII digits only: str.isdigit also passes digits such as "²" that int() refuses.
+_INT_RE = re.compile(r"[0-9]+")
+_ELEMENT_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
+
+
+def _int(text: str, key: str, line_no: int) -> int:
+    # int() refuses more digits than sys.get_int_max_str_digits().
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise SpecSyntaxError(f"{key} has too many digits ({len(text)})", line_no) from exc
 
 
 def _parse_int(value: str, key: str, line_no: int) -> int:
-    if not value.isdigit():
+    if not _INT_RE.fullmatch(value):
         raise SpecSyntaxError(f"{key} expects a nonnegative integer, got {value!r}", line_no)
-    return int(value)
+    return _int(value, key, line_no)
 
 
 def _parse_int_set(value: str, key: str, line_no: int) -> frozenset[int]:
@@ -86,9 +96,9 @@ def _parse_int_set(value: str, key: str, line_no: int) -> frozenset[int]:
         return frozenset()
     out = set()
     for part in value.split(","):
-        if not part.isdigit():
+        if not _INT_RE.fullmatch(part):
             raise SpecSyntaxError(f"{key} expects comma-separated integers, got {part!r}", line_no)
-        out.add(int(part))
+        out.add(_int(part, key, line_no))
     return frozenset(out)
 
 
@@ -101,7 +111,7 @@ def _parse_elements(value: str, key: str, line_no: int) -> frozenset[Element]:
         raise SpecSyntaxError(
             f"{key} expects elements like (0,0),(1,2) with no spaces, got {value!r}", line_no
         )
-    return frozenset(Element(int(m.group(1)), int(m.group(2))) for m in matches)
+    return frozenset(Element(_int(m.group(1), key, line_no), _int(m.group(2), key, line_no)) for m in matches)
 
 
 def _split_tokens(line: str, line_no: int) -> list[tuple[str, str]]:

@@ -144,9 +144,6 @@ class RowData:
         m = ov.m if ov is not None else self.m_default
         return max(m, row)
 
-    def max_m(self) -> int:
-        return max([self.m_default] + [ov.m for ov in self.overrides])
-
 
 @dataclass(frozen=True)
 class DiagonalTail:

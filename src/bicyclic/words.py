@@ -1,28 +1,15 @@
-"""The bicyclic monoid as a string rewriting system.
+"""Words over {a, b} and their normal forms.
 
-Words over {a, b} rewrite by deleting occurrences of the factor "ba" (the
-defining relation ba = 1).  Each deletion shortens the word by two letters,
-so rewriting terminates, and the system is confluent, so the surviving word
-a^i b^j is independent of the deletion order.  This gives a multiplication
-oracle that shares no code with the coordinate formula in `elements`.
+The bicyclic monoid is the monoid presented by ba = 1, so every word
+over {a, b} reduces to a unique normal form a^i b^j.  `word_normalize`
+finds it in one left-to-right scan; the `normalize` command uses it.
 """
 
 from __future__ import annotations
 
 from .elements import Element
 
-__all__ = [
-    "word_normalize",
-    "normalize_by_deletion",
-    "multiply_via_rewriting",
-    "element_to_word",
-]
-
-
-def _check_alphabet(word: str) -> None:
-    for ch in word:
-        if ch not in "ab":
-            raise ValueError(f"invalid letter {ch!r}: words use the alphabet {{a, b}}")
+__all__ = ["word_normalize"]
 
 
 def word_normalize(word: str) -> Element:
@@ -43,32 +30,3 @@ def word_normalize(word: str) -> Element:
         else:
             raise ValueError(f"invalid letter {ch!r}: words use the alphabet {{a, b}}")
     return Element(i, j)
-
-
-def normalize_by_deletion(word: str, leftmost: bool = True) -> Element:
-    """Naive fixpoint reference: repeatedly delete one "ba" factor.
-
-    `leftmost` picks which occurrence goes first; confluence makes the
-    result identical either way.
-    """
-    _check_alphabet(word)
-    w = word
-    while True:
-        pos = w.find("ba") if leftmost else w.rfind("ba")
-        if pos < 0:
-            break
-        w = w[:pos] + w[pos + 2 :]
-    i = w.count("a")
-    # no "ba" factor left, so every a precedes every b
-    assert w == "a" * i + "b" * (len(w) - i)
-    return Element(i, len(w) - i)
-
-
-def element_to_word(x: Element) -> str:
-    """The canonical word a^i b^j for an exponent pair."""
-    return "a" * x.i + "b" * x.j
-
-
-def multiply_via_rewriting(x: Element, y: Element) -> Element:
-    """Multiply by concatenating canonical words and rewriting to normal form."""
-    return word_normalize(element_to_word(x) + element_to_word(y))

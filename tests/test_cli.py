@@ -89,6 +89,11 @@ def test_witness(capsys):
     assert capsys.readouterr().out == "q=(3,5) x=(0,3) y=(0,5) scheme=row0\n"
 
 
+def test_witness_far_out(capsys):
+    assert main(["witness", corpus("r1"), f"({10**12},5)"]) == 0
+    assert capsys.readouterr().out == f"q=({10**12},5) x=(0,{10**12}) y=(0,5) scheme=row0\n"
+
+
 def test_witness_refused(capsys):
     assert main(["witness", corpus("lower_column0"), "(2,2)"]) == 1
     out = capsys.readouterr().out

@@ -84,6 +84,21 @@ class TestSyntaxErrors:
         with pytest.raises(SpecSyntaxError):
             parse_spec("form=upper\nd=one\nN=1\nI0=0")
 
+    def test_non_ascii_and_overlong_integers(self):
+        # "²" passes str.isdigit but not int(); "٣" is read by int() but
+        # is no ASCII digit; and int() refuses overlong digit strings
+        cases = (
+            ("form=upper\nd=\u00b2\nN=1\nI0=0", "line 2: d "),
+            ("form=upper\nd=1\nN=1\nI0=0,\u00b2", "line 4: I0 "),
+            ("form=twosided-i\nq=0\np=1\nd=1\nI=0\nP=\u0663", "line 6: P "),
+            ("form=diagonal\nelements=(\u0663,\u0663)", "line 2: elements "),
+            ("form=upper\nd=" + "1" * 5000 + "\nN=1\nI0=0", "line 2: d has too many digits"),
+            ("form=diagonal\nelements=(0," + "1" * 5000 + ")", "line 2: elements has too many digits"),
+        )
+        for text, message in cases:
+            with pytest.raises(SpecSyntaxError, match=message):
+                parse_spec_unchecked(text)
+
     def test_bad_element_list(self):
         with pytest.raises(SpecSyntaxError):
             parse_spec("form=diagonal\nelements=(0 0)")

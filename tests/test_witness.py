@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bicyclic import (
@@ -9,10 +11,13 @@ from bicyclic import (
     TwoSidedII,
     Upper,
     decompose,
+    multiply,
     verify_witness,
 )
-from bicyclic.witness import Witness
+from bicyclic import witness
+from bicyclic.witness import Witness, _maxplus, _tropical
 from golden import YES_ENTRIES
+from rewriting_oracle import multiply_via_rewriting
 
 fs = frozenset
 
@@ -45,6 +50,35 @@ def test_verify_witness_examples():
     assert not verify_witness(R1, wrong_product)
 
 
+def test_maxplus_image_is_a_faithful_product():
+    # a^i b^j maps to (i - j, i + j - 1, j - i), which determines (i, j),
+    # and products map to products: against the coordinate formula and
+    # the rewriting oracle on small pairs, against the formula far out
+    rng = random.Random(1729)
+    for _ in range(3000):
+        top = rng.choice((30, 10**15))
+        x = Element(rng.randint(0, top), rng.randint(0, top))
+        y = Element(rng.randint(0, top), rng.randint(0, top))
+        xy = multiply(x, y)
+        image = _maxplus(_tropical(x.i, x.j), _tropical(y.i, y.j))
+        assert image == _tropical(xy.i, xy.j) == (xy.i - xy.j, xy.i + xy.j - 1, xy.j - xy.i)
+        if top == 30:
+            rewritten = multiply_via_rewriting(x, y)
+            assert image == _tropical(rewritten.i, rewritten.j)
+
+
+def test_maxplus_check_catches_a_wrong_formula(monkeypatch):
+    # with the coordinate formula patched to agree with any claim, the
+    # max-plus image alone still refuses a wrong product, far out too
+    for q, x, y, ok in (
+        (Element(3, 5), Element(0, 4), Element(0, 5), False),
+        (Element(10**12, 5), Element(0, 10**12 + 1), Element(0, 5), False),
+        (Element(10**12, 5), Element(0, 10**12), Element(0, 5), True),
+    ):
+        monkeypatch.setattr(witness, "multiply", lambda a, b, q=q: q)
+        assert verify_witness(R1, Witness(q, x, y, "row0")) == ok, q
+
+
 def test_straight_and_correct_on_corpus(corpus_specs):
     for entry in YES_ENTRIES:
         spec = corpus_specs[entry.name]
@@ -61,7 +95,8 @@ def test_witness_growth_bound(corpus_specs):
     for entry in YES_ENTRIES:
         spec = corpus_specs[entry.name]
         p = getattr(spec, "p", 0)
-        m_extra = spec.rows.max_m() if hasattr(spec, "rows") else 0
+        rows = getattr(spec, "rows", None)
+        m_extra = max([rows.m_default] + [ov.m for ov in rows.overrides]) if rows is not None else 0
         for i in range(13):
             for j in range(13):
                 w = decompose(spec, Element(i, j))
