@@ -8,6 +8,7 @@ verification, stdout closed before the output was written).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -102,13 +103,14 @@ def _cmd_render(args) -> int:
 def _cmd_coverage(args) -> int:
     spec = _load_spec(args.file)
     report = coverage(spec, args.window, args.pairs)
+    gaps = report.gap_count
     print(f"window={report.window}")
     print(f"pair_bound={report.pair_bound}")
-    print(f"covered={(report.window + 1) ** 2 - len(report.gaps)}")
-    print(f"gaps={len(report.gaps)}")
+    print(f"covered={(report.window + 1) ** 2 - gaps}")
+    print(f"gaps={gaps}")
     for gap in report.gaps:
         print(f"gap={gap}")
-    return 0 if not report.gaps else 1
+    return 0 if not gaps else 1
 
 
 def _cmd_crosscheck(args) -> int:
@@ -117,7 +119,7 @@ def _cmd_crosscheck(args) -> int:
     print(f"verdict={'yes' if report.decision.verdict else 'no'}")
     print(f"window={report.coverage.window}")
     print(f"pair_bound={report.coverage.pair_bound}")
-    print(f"coverage_gaps={len(report.coverage.gaps)}")
+    print(f"coverage_gaps={report.coverage.gap_count}")
     if report.closure is None:
         print("closure=ok")
     else:
@@ -181,9 +183,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then kept.
+
+    Parsing leaves no state on the parser (each call fills a new
+    namespace), so one tree serves every call in the process.  The cache
+    sits here, not on `build_parser`: a caller of `build_parser` gets a
+    tree of its own, which it may change without changing this one.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

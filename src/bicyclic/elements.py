@@ -113,7 +113,8 @@ def idempotent_leq(e: Element, f: Element) -> bool:
     return e.i >= f.i
 
 
-_ELEMENT_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# ASCII digits only: \d also matches digits such as "٣" that int() reads.
+_ELEMENT_RE = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)")
 
 
 def parse_element(text: str) -> Element:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -34,6 +35,22 @@ def test_normalize_bad_word(capsys):
 
 def test_bad_element_is_an_error(capsys):
     assert main(["mul", "2,3", "(5,1)"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["mul", "(٣,1)", "(5,1)"], "(٣,1)"),  # ARABIC-INDIC DIGIT THREE
+        (["inv", "(2,٥)"], "(2,٥)"),
+        (["witness", corpus("r1"), "(١,1)"], "(١,1)"),
+        (["inv", "(３,1)"], "(３,1)"),  # FULLWIDTH DIGIT THREE
+    ],
+)
+def test_non_ascii_digits_in_elements_are_errors(argv, bad, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error=expected an element of the form (i,j), got {bad!r}\n"
 
 
 def test_classify_valid(capsys):
@@ -180,3 +197,90 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 2
     assert first.startswith(b"# # #")
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+SUBCOMMANDS = ("mul", "inv", "normalize", "classify", "decide", "witness", "render", "coverage", "crosscheck")
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of one call, usage errors and --help included."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_per_process():
+    # a fresh interpreter, so the count starts before the first call
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from bicyclic import cli
+        calls = 0
+        build = cli.build_parser
+        def counted():
+            global calls
+            calls += 1
+            return build()
+        cli.build_parser = counted
+        argvs = [
+            ["mul", "(2,3)", "(5,1)"], ["inv", "(2,5)"], ["normalize", "ab"],
+            ["classify", sys.argv[1]], ["decide", sys.argv[1]], ["decide", sys.argv[1], "--right"],
+            ["witness", sys.argv[1], "(3,5)"], ["render", sys.argv[1], "--window", "2"],
+            ["coverage", sys.argv[1], "--window", "2"], ["crosscheck", sys.argv[1], "--window", "2"],
+            ["frobnicate"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for n in range(1100):
+                try:
+                    cli.main(argvs[n % len(argvs)])
+                except SystemExit:
+                    pass
+        print(calls)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script, corpus("r1")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+@pytest.mark.parametrize("command", (None,) + SUBCOMMANDS)
+def test_help_matches_a_fresh_parser(command, capsys):
+    for argv in (["decide", corpus("r1")], ["inv", "--help"], ["frobnicate"]):
+        _outcome(main, argv, capsys)
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = _outcome(main, argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: bicyclic")
+    assert out == _outcome(cli.build_parser().parse_args, argv, capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["frobnicate"],
+        ["render", corpus("r1")],
+        ["render", corpus("r1"), "--window", "two"],
+    ],
+)
+def test_usage_errors_are_stable_and_leave_no_state(bad, capsys):
+    fresh = _outcome(cli.build_parser().parse_args, bad, capsys)
+    assert fresh[0] == 2 and fresh[1] == "" and fresh[2].startswith("usage: bicyclic")
+    good = ["coverage", corpus("r1"), "--window", "3"]
+    alone = _outcome(main, good, capsys)
+    for _ in range(3):
+        assert _outcome(main, bad, capsys) == fresh
+        assert _outcome(main, good, capsys) == alone
+    assert alone == (0, "window=3\npair_bound=30\ncovered=16\ngaps=0\n", "")
+
+
+def test_defaults_return_after_a_call_that_set_them(capsys):
+    assert main(["coverage", corpus("r1"), "--window", "3", "--pairs", "3"]) == 0
+    assert "pair_bound=3\n" in capsys.readouterr().out
+    assert main(["coverage", corpus("r1"), "--window", "3"]) == 0
+    assert "pair_bound=30\n" in capsys.readouterr().out
+    assert main(["decide", corpus("r1"), "--right"]) == 1
+    assert main(["decide", corpus("r1")]) == 0
+    assert "side=left" in capsys.readouterr().out

@@ -113,6 +113,7 @@ def test_covered_and_gaps_partition_window(corpus_specs):
         assert len(report.rows) == 7 and all(0 <= row < 1 << 7 for row in report.rows)
         assert covered_cells(report) | set(report.gaps) == window
         assert not (covered_cells(report) & set(report.gaps))
+        assert report.gap_count == len(report.gaps)
 
 
 def test_coverage_monotone_in_pair_bound():
