@@ -38,7 +38,6 @@ from .subsemigroups import (
     ValidationReport,
     closure_falsify,
     contains,
-    enumerate_window,
     validate,
 )
 from .iorder import (

@@ -18,7 +18,7 @@ from .coverage import coverage, cross_validate
 from .elements import multiply, inverse, parse_element
 from .iorder import decide_left_iorder, decide_right_iorder, decision_lines
 from .render import render_window
-from .specfile import SpecError, SpecSyntaxError, SpecValidationError, parse_spec, parse_spec_unchecked
+from .specfile import SpecError, SpecValidationError, parse_spec, parse_spec_unchecked
 from .subsemigroups import validate
 from .witness import NotLeftIOrderError, decompose, verify_witness
 from .words import word_normalize
@@ -210,9 +210,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         for violation in exc.violations:
             print(f"violation={violation}", file=sys.stderr)
         print("error=invalid spec", file=sys.stderr)
-        return 2
-    except SpecSyntaxError as exc:
-        print(f"error={exc}", file=sys.stderr)
         return 2
     except (SpecError, ValueError) as exc:
         print(f"error={exc}", file=sys.stderr)

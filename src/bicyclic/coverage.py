@@ -106,9 +106,7 @@ class CrossCheckReport:
     notes: tuple[str, ...] = ()
 
 
-def cross_validate(
-    spec: SubsemigroupSpec, window: int, pair_bound: Optional[int] = None
-) -> CrossCheckReport:
+def cross_validate(spec: SubsemigroupSpec, window: int) -> CrossCheckReport:
     """PASS iff the decision and the coverage oracle agree on the window.
 
     A yes verdict demands zero gaps; a no verdict with a certificate
@@ -116,7 +114,7 @@ def cross_validate(
     window.  Negative agreement is evidence, not proof.
     """
     decision = decide_left_iorder(spec)
-    report = coverage(spec, window, pair_bound)
+    report = coverage(spec, window)
     closure = closure_falsify(spec, window)
     notes: list[str] = []
     passed = True

@@ -51,7 +51,15 @@ class Element:
             raise ValueError(f"exponents must be nonnegative, got ({self.i}, {self.j})")
 
     def __str__(self) -> str:
-        return f"({self.i},{self.j})"
+        try:
+            return f"({self.i},{self.j})"
+        except ValueError:
+            # str() refuses more digits than sys.get_int_max_str_digits();
+            # decimal counts them without converting, and only this path needs it.
+            from decimal import Decimal
+
+            digits = max(Decimal(c).adjusted() + 1 for c in (self.i, self.j))
+            raise ValueError(f"element coordinate has too many digits to print ({digits})") from None
 
 
 IDENTITY = Element(0, 0)
@@ -122,4 +130,10 @@ def parse_element(text: str) -> Element:
     match = _ELEMENT_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"expected an element of the form (i,j), got {text!r}")
-    return Element(int(match.group(1)), int(match.group(2)))
+    # int() refuses more digits than sys.get_int_max_str_digits().
+    try:
+        i, j = int(match.group(1)), int(match.group(2))
+    except ValueError:
+        digits = max(len(match.group(1)), len(match.group(2)))
+        raise ValueError(f"element coordinate has too many digits ({digits})") from None
+    return Element(i, j)

@@ -30,7 +30,6 @@ from .subsemigroups import (
     TwoSidedI,
     TwoSidedII,
     Upper,
-    _contains,
     require_valid,
 )
 
@@ -95,12 +94,21 @@ def _decide_diagonal(spec: Diagonal) -> Decision:
     return _decision(spec.form, (cond,), cert)
 
 
-def _row0_gap(spec: SubsemigroupSpec, limit: int) -> Optional[int]:
-    """Least h <= limit with (0, h) missing from S, or None."""
-    for h in range(limit + 1):
-        if not _contains(spec, Element(0, h)):
-            return h
-    return None
+def _row0_gap(spec: SubsemigroupSpec, limit: int, finite: int) -> Optional[int]:
+    """Least h <= limit with (0, h) missing from S, or None.
+
+    `finite` bounds the members of row 0 outside its progression.  A gap
+    lies at or below finite + 1: were columns 0 .. finite + 1 all
+    members, the progression would supply two of them, and then either
+    (d = 1) every later column too, or (d > 1) leave a column between two
+    of its terms to the finite parts, which sit at multiples of d (upper)
+    or below the progression (two-sided (i)).  So one mask of at most
+    finite + 2 columns decides the row, however large p or the threshold.
+    """
+    width = min(limit, finite + 1) + 1
+    bits = spec.row_bits(0, 0, width)
+    gap = (~bits & (bits + 1)).bit_length() - 1
+    return gap if gap < width else None
 
 
 def _decide_upper(spec: Upper) -> Decision:
@@ -110,7 +118,8 @@ def _decide_upper(spec: Upper) -> Decision:
     # at and above it the modular tail takes over, so a bounded scan of
     # the row decides containment of the whole identity row.
     limit = spec.rows.threshold(0) + 1 if has_row0 else 1
-    gap = _row0_gap(spec, limit)
+    extras = sum(len(ov.extra) for ov in spec.rows.overrides)
+    gap = _row0_gap(spec, limit, len(spec.diagonal_part) + extras)
     conditions = (
         Condition("d-is-1", step == 1),
         Condition("row-0-in-indices", has_row0),
@@ -148,7 +157,13 @@ def _decide_lower(spec: Lower) -> Decision:
     else:
         # Any column index outside I whose diagonal point is not patched
         # by FD marks an empty L-class, so its idempotent is unreachable.
-        k = spec.row_indices.first_gap(forbidden=_diagonal_indices(spec))
+        # The bound makes the scan exhaustive: past N and FD a missing
+        # residue class leaves a gap within d columns, and with every
+        # class present the gaps sit below N.
+        idx = spec.row_indices
+        patched = _diagonal_indices(spec)
+        limit = max([idx.start] + [k + 1 for k in patched]) + idx.step + 1
+        k = next((k for k in range(limit + 1) if k not in idx and k not in patched), None)
         uncovered = Element(k, k) if k is not None else None
         reason = REASON_EMPTY_L_CLASS if k is not None else None
         cert = Certificate("all-columns-present", uncovered, reason)
@@ -158,7 +173,7 @@ def _decide_lower(spec: Lower) -> Decision:
 def _decide_twosided_i(spec: TwoSidedI) -> Decision:
     # Membership of (0, h) is eventually periodic in h with period d, so
     # with d = 1 checking through p + 1 decides the whole identity row.
-    gap = _row0_gap(spec, spec.p + 1)
+    gap = _row0_gap(spec, spec.p + 1, len(spec.diagonal_part) + len(spec.triangle_part))
     conditions = (
         Condition("d-is-1", spec.step == 1),
         Condition("q-is-0", spec.q == 0),
@@ -190,11 +205,9 @@ def _decide_twosided_ii(spec: TwoSidedII) -> Decision:
         # nor the reflected triangle touches it.  Each column the scan
         # passes is in I, FD or a triangle row, which bounds the scan.
         touched = spec.row_indices | _diagonal_indices(spec) | {e.i for e in spec.triangle_part}
-        m = 0
-        while m in touched:
-            m += 1
-        uncovered = Element(m, m) if m < spec.p else None
-        reason = REASON_EMPTY_L_CLASS if uncovered is not None else None
+        m = next((m for m in range(spec.p) if m not in touched), None)
+        uncovered = Element(m, m) if m is not None else None
+        reason = REASON_EMPTY_L_CLASS if m is not None else None
         cert = Certificate("columns-0-to-p-covered", uncovered, reason)
     return _decision(spec.form, conditions, cert)
 

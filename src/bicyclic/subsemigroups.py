@@ -15,8 +15,8 @@ parameters.  Lower and two-sided (ii) are the diagonal reflections of
 upper and two-sided (i) with the same parameters: their `reflected`
 flag says to read the primitive at hat(x), and their grids are the
 transposed grids of the upper orientation.  `contains` is the primitive
-at one column; `enumerate_window`, rendering, the coverage member scan
-and `closure_falsify` work on grids of whole rows.
+at one column; rendering, the coverage member scan, `closure_falsify`
+and the identity-row checks of the decisions work on whole rows.
 
 The classification guarantees every subsemigroup has one of these
 shapes; the converse is not guaranteed, so the decision procedures
@@ -52,7 +52,6 @@ __all__ = [
     "validate",
     "require_valid",
     "contains",
-    "enumerate_window",
     "closure_falsify",
     "WINDOW_LIMIT",
 ]
@@ -70,7 +69,7 @@ class IndexSet:
 
     Denotes fixed | {k >= start : k % step in residues}.  The finite part
     must lie below `start` and the residues below `step`, which makes the
-    description canonical enough for the membership and gap queries here.
+    description canonical enough for the membership queries here.
     """
 
     fixed: frozenset[int] = frozenset()
@@ -99,18 +98,6 @@ class IndexSet:
         for r in self.residues:
             candidates.append(self.start + (r - self.start) % self.step)
         return min(candidates) if candidates else None
-
-    def first_gap(self, forbidden: frozenset[int] = frozenset()) -> Optional[int]:
-        """Least k outside the set with k not in `forbidden`, or None.
-
-        If the residues cover every class, the only gaps sit below
-        `start`, so a bounded scan is exhaustive.
-        """
-        limit = max([self.start] + [k + 1 for k in forbidden]) + self.step + 1
-        for k in range(limit + 1):
-            if k not in self and k not in forbidden:
-                return k
-        return None
 
 
 @dataclass(frozen=True)
@@ -311,9 +298,6 @@ class InvalidSpecError(ValueError):
         super().__init__("invalid subsemigroup spec: " + "; ".join(report.violations))
 
 
-_STRIP_NOTE = "FD bound read as the column strip: diagonal indices <= {bound}"
-
-
 def _validate_diagonal(spec: Diagonal) -> ValidationReport:
     violations = []
     for e in sorted(spec.elements):
@@ -346,6 +330,19 @@ def _validate_index_set(idx: IndexSet, violations: list[str]) -> None:
             violations.append(f"R within {{0,...,d-1}} fails: {r} with d={idx.step}")
 
 
+def _validate_fd(
+    fd: frozenset[Element], bound: int, label: str, violations: list[str], notes: list[str]
+) -> None:
+    """FD lies on the diagonal within the column strip of indices <= bound."""
+    for e in sorted(fd):
+        if e.i != e.j:
+            violations.append(f"FD on the diagonal fails: {e} is off the diagonal")
+        elif e.i > bound:
+            violations.append(f"FD within the column strip fails: index {e.i} exceeds {label}")
+    if fd:
+        notes.append(f"FD bound read as the column strip: diagonal indices <= {label}")
+
+
 def _validate_row_family(spec: _RowFamily) -> ValidationReport:
     violations: list[str] = []
     notes: list[str] = []
@@ -359,15 +356,7 @@ def _validate_row_family(spec: _RowFamily) -> ValidationReport:
 
     lo = idx.min()
     assert lo is not None
-    for e in sorted(spec.diagonal_part):
-        if e.i != e.j:
-            violations.append(f"FD on the diagonal fails: {e} is off the diagonal")
-        elif e.i > lo:
-            violations.append(
-                f"FD within the column strip fails: index {e.i} exceeds min(I)={lo}"
-            )
-    if spec.diagonal_part:
-        notes.append(_STRIP_NOTE.format(bound=f"min(I)={lo}"))
+    _validate_fd(spec.diagonal_part, lo, f"min(I)={lo}", violations, notes)
 
     seen_rows = set()
     for ov in spec.rows.overrides:
@@ -411,13 +400,7 @@ def _validate_two_sided(spec: _TwoSided) -> ValidationReport:
     if 0 not in spec.offsets:
         fmt = "{" + ",".join(str(r) for r in sorted(spec.offsets)) + "}"
         violations.append(f"0 in P fails: P={fmt}")
-    for e in sorted(spec.diagonal_part):
-        if e.i != e.j:
-            violations.append(f"FD on the diagonal fails: {e} is off the diagonal")
-        elif e.i > spec.q:
-            violations.append(f"FD within the column strip fails: index {e.i} exceeds q={spec.q}")
-    if spec.diagonal_part:
-        notes.append(_STRIP_NOTE.format(bound=f"q={spec.q}"))
+    _validate_fd(spec.diagonal_part, spec.q, f"q={spec.q}", violations, notes)
     for e in sorted(spec.triangle_part):
         if not spec.q <= e.i <= e.j < spec.p:
             violations.append(
@@ -481,14 +464,6 @@ def contains(spec: SubsemigroupSpec, x: Element) -> bool:
     """Exact membership of x in the denoted set."""
     require_valid(spec)
     return _contains(spec, x)
-
-
-def enumerate_window(spec: SubsemigroupSpec, window: int) -> set[Element]:
-    """All members with both coordinates at most `window`."""
-    require_valid(spec)
-    _check_window("window", window)
-    size = window + 1
-    return {Element(i, j) for i, row in enumerate(_grid(spec, size, size)) for j in _set_bits(row)}
 
 
 @dataclass(frozen=True)

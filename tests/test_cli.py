@@ -53,6 +53,29 @@ def test_non_ascii_digits_in_elements_are_errors(argv, bad, capsys):
     assert captured.err == f"error=expected an element of the form (i,j), got {bad!r}\n"
 
 
+def test_element_arguments_beyond_the_int_string_limit(capsys):
+    digits = sys.get_int_max_str_digits() + 700
+    assert main(["inv", f"({'1' * digits},1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error=element coordinate has too many digits ({digits})\n"
+
+
+@pytest.mark.parametrize("command", ("mul", "witness"))
+def test_results_beyond_the_int_string_limit(command, capsys):
+    # N has as many digits as int() accepts: (N,0)(N,0) = (2N,0), and the
+    # lower witness of (N,5) lifts into row 2N+5; both have one digit more
+    nines = "9" * sys.get_int_max_str_digits()
+    if command == "mul":
+        argv = ["mul", f"({nines},0)", f"({nines},0)"]
+    else:
+        argv = ["witness", corpus("t_above2"), f"({nines},5)"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error=element coordinate has too many digits to print ({len(nines) + 1})\n"
+
+
 def test_classify_valid(capsys):
     assert main(["classify", corpus("r1")]) == 0
     out = capsys.readouterr().out

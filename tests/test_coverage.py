@@ -13,12 +13,12 @@ from bicyclic import (
     coverage,
     cross_validate,
     default_pair_bound,
-    enumerate_window,
     inverse,
     multiply,
     render_window,
 )
 from bicyclic import _cover
+import membership_oracle as oracle
 
 fs = frozenset
 
@@ -27,7 +27,7 @@ B_PLUS = Upper(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(0))
 
 
 def brute_force_covered(spec, window, pair_bound):
-    members = enumerate_window(spec, pair_bound)
+    members = oracle.members(spec, pair_bound + 1, pair_bound + 1)
     out = set()
     for x in members:
         for y in members:

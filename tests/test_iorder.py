@@ -16,7 +16,6 @@ from bicyclic import (
     decide_left_iorder,
     decide_right_iorder,
     decision_lines,
-    enumerate_window,
     hat,
     hat_spec,
     inverse,
@@ -24,7 +23,9 @@ from bicyclic import (
     parse_spec,
 )
 from bicyclic import iorder
+import membership_oracle as oracle
 from golden import NO_ENTRIES, VALID_ENTRIES, YES_ENTRIES
+from test_row_masks import grid_cells
 
 fs = frozenset
 
@@ -84,8 +85,8 @@ def test_hat_spec_involution_and_window_commutation(corpus_specs):
         assert hat_spec(hat_spec(spec)) == spec
         mirrored = hat_spec(spec)
         for window in (5, 12):
-            assert enumerate_window(mirrored, window) == {
-                hat(e) for e in enumerate_window(spec, window)
+            assert grid_cells(mirrored, window + 1, window + 1) == {
+                hat(e) for e in grid_cells(spec, window + 1, window + 1)
             }
 
 
@@ -109,7 +110,7 @@ def test_yes_specs_meet_every_column(corpus_specs):
     # a left I-order meets every L-class; checked on the window
     for entry in YES_ENTRIES:
         spec = corpus_specs[entry.name]
-        members = enumerate_window(spec, 40)
+        members = oracle.members(spec, 41, 41)
         for k in range(13):
             assert any(e.j == k for e in members), (entry.name, k)
 
@@ -133,7 +134,8 @@ def test_negative_certificates_are_uncovered(corpus_specs):
         cert = decide_left_iorder(spec).certificate
         assert cert is not None and cert.uncovered is not None, entry.name
         c = cert.uncovered
-        members = sorted(enumerate_window(spec, _pair_window_bound(spec, c)))
+        bound = _pair_window_bound(spec, c)
+        members = sorted(oracle.members(spec, bound + 1, bound + 1))
         for x in members:
             for y in members:
                 assert multiply(inverse(x), y) != c, (entry.name, x, y)

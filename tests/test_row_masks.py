@@ -7,6 +7,7 @@ grow with them; window-sized work is refused beyond the limit.
 """
 
 import random
+import time
 
 import pytest
 
@@ -25,9 +26,9 @@ from bicyclic import (
     closure_falsify,
     contains,
     coverage,
+    cross_validate,
     decide_left_iorder,
     decompose,
-    enumerate_window,
     render_window,
     validate,
     verify_witness,
@@ -88,15 +89,14 @@ def test_random_specs_cover_all_five_forms():
 
 def test_grids_equal_the_oracle(corpus_specs):
     # rows past the window (25 x 8), columns past it (8 x 25), and the
-    # square window; lower forms put members below the diagonal (j < i)
+    # square window (13 x 13); lower forms put members below the diagonal (j < i)
     specs = list(corpus_specs.values()) + random_specs(11, 800)
     below_diagonal = 0
     for spec in specs:
-        for rows, cols in ((25, 8), (8, 25)):
+        for rows, cols in ((25, 8), (8, 25), (13, 13)):
             expected = oracle.members(spec, rows, cols)
             assert grid_cells(spec, rows, cols) == expected, (spec, rows, cols)
             below_diagonal += any(e.j < e.i for e in expected)
-        assert enumerate_window(spec, 12) == oracle.members(spec, 13, 13), spec
         assert _grid(spec, 0, 5) == [] and _grid(spec, 3, 0) == [0, 0, 0]
     assert below_diagonal > 200
 
@@ -176,6 +176,44 @@ class TestHugeParameters:
         assert decide_left_iorder(two).certificate.uncovered == Element(0, 0)
 
 
+ROW0_SIZE = 20000
+
+
+def _row0_filled(form, missing):
+    """Spec text whose finite parts fill row 0 below ROW0_SIZE, bar `missing`."""
+    cols = ",".join(f"(0,{j})" for j in range(ROW0_SIZE) if j != missing)
+    if form == "upper":
+        return f"form=upper\nd=1 N=1 I0=0 R=\nrow=0 m={ROW0_SIZE} F={cols}\n"
+    return f"form=twosided-i\nq=0 p={ROW0_SIZE} d=1 I=0 P=0\nF={cols}\n"
+
+
+@pytest.mark.parametrize("form, covered", [("upper", "row-0-prefix-covered"), ("twosided-i", "identity-row-covered")])
+@pytest.mark.parametrize("missing", [None, ROW0_SIZE - 1])
+def test_row0_decisions_are_linear_in_the_spec_data(form, covered, missing, tmp_path, capsys):
+    # Each decision reads row 0 once, however many columns the finite
+    # parts fill; a column-by-column scan is quadratic, about 30 s a call here.
+    spec = tmp_path / "row0.spec"
+    spec.write_text(_row0_filled(form, missing))
+    fails = missing is not None
+    decision = [
+        "side=left",
+        f"verdict={'no' if fails else 'yes'}",
+        f"form={form}",
+        "condition.d-is-1=holds",
+        "condition.row-0-in-indices=holds" if form == "upper" else "condition.q-is-0=holds",
+        f"condition.{covered}={'fails' if fails else 'holds'}",
+    ]
+    if fails:
+        decision += [f"certificate.failed={covered}", f"certificate.element=(0,{missing})", "certificate.reason=row0-gap"]
+    witness = decision + ["witness=refused"] if fails else ["q=(3,5) x=(0,3) y=(0,5) scheme=row0"]
+    for argv, lines in ((["decide", str(spec)], decision), (["witness", str(spec), "(3,5)"], witness)):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert (code, capsys.readouterr().out.splitlines()) == (int(fails), lines)
+        assert elapsed < 1.0, (argv[0], elapsed)
+
+
 def test_validate_cache_is_bounded():
     validate.cache_clear()
     for k in range(VALIDATE_CACHE_SIZE + 50):
@@ -197,7 +235,7 @@ HUGE = 10**9
         lambda: coverage(Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(HUGE)), 5),
         lambda: render_window(R1, HUGE),
         lambda: closure_falsify(R1, HUGE),
-        lambda: enumerate_window(R1, HUGE),
+        lambda: cross_validate(R1, HUGE),
     ],
 )
 def test_window_sized_work_is_refused_beyond_the_limit(call):

@@ -6,13 +6,13 @@ from bicyclic import (
     Lower,
     TwoSidedII,
     Upper,
-    enumerate_window,
     parse_spec,
     parse_spec_unchecked,
     validate,
 )
 from bicyclic.specfile import SpecSyntaxError, SpecValidationError
 from golden import CORPUS, INVALID_ENTRIES, VALID_ENTRIES
+from test_row_masks import grid_cells
 
 R1_TEXT = "form=upper\nd=1\nN=1\nI0=0\nrow=0 m=0 F="
 
@@ -20,7 +20,7 @@ R1_TEXT = "form=upper\nd=1\nN=1\nI0=0\nrow=0 m=0 F="
 def test_parse_r1():
     spec = parse_spec(R1_TEXT)
     assert isinstance(spec, Upper)
-    assert enumerate_window(spec, 3) == {Element(0, j) for j in range(4)}
+    assert grid_cells(spec, 4, 4) == {Element(0, j) for j in range(4)}
 
 
 def test_parse_diagonal():
@@ -52,7 +52,7 @@ def test_row_lines_build_overrides():
 def test_diagonal_tail_round_trip():
     spec = parse_spec("form=diagonal\nelements=(1,1)\ntail_N=4 tail_d=2 tail_r=0")
     assert spec.tail is not None
-    members = enumerate_window(spec, 8)
+    members = grid_cells(spec, 9, 9)
     assert members == {Element(1, 1), Element(4, 4), Element(6, 6), Element(8, 8)}
 
 

@@ -14,11 +14,11 @@ from bicyclic import (
     Upper,
     closure_falsify,
     contains,
-    enumerate_window,
     hat,
     multiply,
     validate,
 )
+from test_row_masks import grid_cells
 
 fs = frozenset
 
@@ -45,15 +45,6 @@ class TestIndexSet:
         assert IndexSet(fs({3}), fs({1}), 6, 4).min() == 3
         assert IndexSet(fs(), fs({1}), 6, 4).min() == 9
         assert IndexSet(fs(), fs(), 0, 1).min() is None
-
-    def test_first_gap(self):
-        assert IndexSet(fs({0}), fs(), 1, 1).first_gap() == 1
-        assert IndexSet(fs({0, 2}), fs(), 3, 1).first_gap() == 1
-        assert IndexSet(fs(), fs({0}), 0, 1).first_gap() is None
-        # gaps hidden behind forbidden indices
-        idx = IndexSet(fs(), fs({0}), 5, 1)
-        assert idx.first_gap() == 0
-        assert idx.first_gap(forbidden=fs({0, 1, 2, 3, 4})) is None
 
 
 class TestValidate:
@@ -109,8 +100,6 @@ class TestValidate:
         with pytest.raises(InvalidSpecError):
             contains(spec, Element(0, 0))
         with pytest.raises(InvalidSpecError):
-            enumerate_window(spec, 3)
-        with pytest.raises(InvalidSpecError):
             closure_falsify(spec, 3)
 
 
@@ -132,22 +121,24 @@ class TestContains:
 
 
 class TestEnumerateWindow:
+    """Window members, read off the row-mask grid."""
+
     def test_r1_window(self):
-        assert enumerate_window(R1, 3) == {
+        assert grid_cells(R1, 4, 4) == {
             Element(0, 0), Element(0, 1), Element(0, 2), Element(0, 3)
         }
 
     def test_window_excludes_everything(self):
-        assert enumerate_window(Diagonal(fs({Element(1, 1)})), 0) == set()
+        assert grid_cells(Diagonal(fs({Element(1, 1)})), 1, 1) == set()
 
     def test_b_plus_window(self):
-        assert enumerate_window(B_PLUS, 1) == {
+        assert grid_cells(B_PLUS, 2, 2) == {
             Element(0, 0), Element(0, 1), Element(1, 1)
         }
 
     def test_agrees_with_contains_on_corpus(self, corpus_specs):
         for spec in corpus_specs.values():
-            members = enumerate_window(spec, 9)
+            members = grid_cells(spec, 10, 10)
             for i in range(10):
                 for j in range(10):
                     e = Element(i, j)
@@ -179,7 +170,7 @@ class TestClosureFalsify:
 class TestShapeInvariants:
     def test_upper_above_lower_below(self, corpus_specs):
         for spec in corpus_specs.values():
-            members = enumerate_window(spec, 12)
+            members = grid_cells(spec, 13, 13)
             if isinstance(spec, Upper):
                 assert all(e.j >= e.i for e in members)
             if isinstance(spec, Lower):
@@ -189,13 +180,11 @@ class TestShapeInvariants:
         for spec in corpus_specs.values():
             if isinstance(spec, Lower):
                 mirrored = Upper(spec.diagonal_part, spec.row_indices, spec.rows)
-                assert enumerate_window(spec, 12) == {
-                    hat(e) for e in enumerate_window(mirrored, 12)
-                }
+                assert grid_cells(spec, 13, 13) == {hat(e) for e in grid_cells(mirrored, 13, 13)}
 
     def test_step_divides_coordinate_difference(self, corpus_specs):
         for spec in corpus_specs.values():
             if isinstance(spec, Diagonal):
                 continue
-            for e in enumerate_window(spec, 12):
+            for e in grid_cells(spec, 13, 13):
                 assert (e.j - e.i) % spec.step == 0
