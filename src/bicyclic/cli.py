@@ -108,8 +108,8 @@ def _cmd_coverage(args) -> int:
     print(f"pair_bound={report.pair_bound}")
     print(f"covered={(report.window + 1) ** 2 - gaps}")
     print(f"gaps={gaps}")
-    for gap in report.gaps:
-        print(f"gap={gap}")
+    # All gap lines in one write: a print call per line costs more than the walk.
+    sys.stdout.write("".join(f"gap=({i},{j})\n" for i, j in report.gap_cells()))
     return 0 if not gaps else 1
 
 

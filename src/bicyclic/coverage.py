@@ -9,7 +9,7 @@ throughout.
 
 The member scan reads the pair window as row masks, which the row-bitset
 engine in `_cover` turns into the reached rows of the report window; the
-report keeps those rows and spells out only its gaps as elements.
+report keeps those rows, and its gaps are read off them as (i, j) cells.
 Windows and pair bounds above `WINDOW_LIMIT` are refused before anything
 of that size is built.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import _cover
 from .elements import Element
@@ -32,7 +32,6 @@ from .subsemigroups import (
     Upper,
     _check_window,
     _grid,
-    _set_bits,
     closure_falsify,
     require_valid,
 )
@@ -54,11 +53,22 @@ class CoverageReport:
     pair_bound: int
     rows: tuple[int, ...]
 
+    def gap_cells(self) -> Iterator[tuple[int, int]]:
+        """The uncovered window cells as (i, j) int pairs, in (i, j) order."""
+        size = self.window + 1
+        full = (1 << size) - 1
+        for i, row in enumerate(self.rows):
+            gap = full & ~row
+            if gap:
+                # format() writes column 0 last, so each row's bits are reversed
+                for j, bit in enumerate(format(gap, f"0{size}b")[::-1]):
+                    if bit == "1":
+                        yield i, j
+
     @cached_property
     def gaps(self) -> tuple[Element, ...]:
         """The uncovered window elements, in (i, j) order."""
-        full = (1 << (self.window + 1)) - 1
-        return tuple(Element(i, j) for i, row in enumerate(self.rows) for j in _set_bits(full & ~row))
+        return tuple(Element(i, j) for i, j in self.gap_cells())
 
     @property
     def gap_count(self) -> int:

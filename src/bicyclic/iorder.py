@@ -19,7 +19,7 @@ the reflected spec, since reflection is an anti-isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .elements import Element
@@ -241,7 +241,8 @@ def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
     require_valid(spec)
     if isinstance(spec, Diagonal):
         return spec
-    return _REFLECTION[type(spec)](**vars(spec))
+    # the fields only: vars(spec) also holds the spec's cached row index
+    return _REFLECTION[type(spec)](**{f.name: getattr(spec, f.name) for f in fields(spec)})
 
 
 def decide_right_iorder(spec: SubsemigroupSpec) -> Decision:

@@ -11,12 +11,14 @@ constraints and returns violations as data rather than raising.
 Membership has one primitive.  Row by row, every form is a finite set
 plus arithmetic progressions, so each form's `row_bits(i, lo, width)`
 builds the column bits lo .. lo + width - 1 of row i straight from the
-parameters.  Lower and two-sided (ii) are the diagonal reflections of
-upper and two-sided (i) with the same parameters: their `reflected`
-flag says to read the primitive at hat(x), and their grids are the
-transposed grids of the upper orientation.  `contains` is the primitive
-at one column; rendering, the coverage member scan, `closure_falsify`
-and the identity-row checks of the decisions work on whole rows.
+parameters.  A form indexes its finite parts by row once, so reading a
+row costs that row's members, not the whole finite part.  Lower and
+two-sided (ii) are the diagonal reflections of upper and two-sided (i)
+with the same parameters: their `reflected` flag says to read the
+primitive at hat(x), and their grids are the transposed grids of the
+upper orientation.  `contains` is the primitive at one column;
+rendering, the coverage member scan, `closure_falsify` and the
+identity-row checks of the decisions work on whole rows.
 
 The classification guarantees every subsemigroup has one of these
 shapes; the converse is not guaranteed, so the decision procedures
@@ -29,8 +31,9 @@ Window-sized work is bounded: windows and pair bounds above
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator, Optional, Union
 
 from .elements import Element, hat, multiply
@@ -108,6 +111,10 @@ class RowOverride:
     m: int
     extra: frozenset[Element] = frozenset()
 
+    @cached_property
+    def _extra_columns(self) -> dict[int, list[int]]:
+        return _columns_by_row(self.extra)
+
 
 @dataclass(frozen=True)
 class RowData:
@@ -158,12 +165,25 @@ def _progression(first: int, step: int, lo: int, width: int) -> int:
     return ((1 << count * step) - 1) // ((1 << step) - 1) << offset
 
 
-def _finite_bits(elements: frozenset[Element], i: int, lo: int, width: int) -> int:
-    """Bits of the columns that `elements` holds in row i among lo .. lo + width - 1."""
+def _columns_by_row(*parts: frozenset[Element]) -> dict[int, list[int]]:
+    """The sorted columns that the finite parts hold in each of their rows."""
+    columns: dict[int, list[int]] = {}
+    for part in parts:
+        for e in part:
+            columns.setdefault(e.i, []).append(e.j)
+    for row in columns.values():
+        row.sort()
+    return columns
+
+
+def _finite_bits(columns: dict[int, list[int]], i: int, lo: int, width: int) -> int:
+    """Bits of the indexed columns of row i among lo .. lo + width - 1."""
+    row = columns.get(i)
+    if row is None:
+        return 0
     bits = 0
-    for e in elements:
-        if e.i == i and lo <= e.j < lo + width:
-            bits |= 1 << (e.j - lo)
+    for j in row[bisect_left(row, lo) : bisect_left(row, lo + width)]:
+        bits |= 1 << (j - lo)
     return bits
 
 
@@ -177,9 +197,13 @@ class Diagonal:
     form: ClassVar[str] = "diagonal"
     reflected: ClassVar[bool] = False
 
+    @cached_property
+    def _finite_columns(self) -> dict[int, list[int]]:
+        return _columns_by_row(self.elements)
+
     def row_bits(self, i: int, lo: int, width: int) -> int:
         """Column bits lo .. lo + width - 1 of row i."""
-        bits = _finite_bits(self.elements, i, lo, width)
+        bits = _finite_bits(self._finite_columns, i, lo, width)
         if self.tail is not None and i in self.tail and lo <= i < lo + width:
             bits |= 1 << (i - lo)
         return bits
@@ -204,16 +228,20 @@ class _RowFamily:
     def step(self) -> int:
         return self.row_indices.step
 
+    @cached_property
+    def _finite_columns(self) -> dict[int, list[int]]:
+        return _columns_by_row(self.diagonal_part)
+
     def row_bits(self, i: int, lo: int, width: int) -> int:
         """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
-        bits = _finite_bits(self.diagonal_part, i, lo, width)
+        bits = _finite_bits(self._finite_columns, i, lo, width)
         if i not in self.row_indices:
             return bits
         t = self.rows.threshold(i)
         bits |= _progression(t + (i - t) % self.step, self.step, lo, width)
         ov = self.rows.override_for(i)
         if ov is not None:
-            bits |= _finite_bits(ov.extra, i, lo, width)
+            bits |= _finite_bits(ov._extra_columns, i, lo, width)
         return bits
 
 
@@ -251,10 +279,13 @@ class _TwoSided:
 
     reflected: ClassVar[bool] = False
 
+    @cached_property
+    def _finite_columns(self) -> dict[int, list[int]]:
+        return _columns_by_row(self.diagonal_part, self.triangle_part)
+
     def row_bits(self, i: int, lo: int, width: int) -> int:
         """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
-        bits = _finite_bits(self.diagonal_part, i, lo, width)
-        bits |= _finite_bits(self.triangle_part, i, lo, width)
+        bits = _finite_bits(self._finite_columns, i, lo, width)
         if i in self.row_indices:
             bits |= _progression(self.p + (i - self.p) % self.step, self.step, lo, width)
         for r in self.offsets:

@@ -4,9 +4,11 @@ import textwrap
 
 import pytest
 
+from bicyclic import coverage, parse_spec
 from bicyclic import cli
 from bicyclic.cli import main
-from golden import CORPUS_DIR
+from bicyclic.coverage import CoverageReport
+from golden import CORPUS_DIR, VALID_ENTRIES
 
 
 def corpus(name):
@@ -180,6 +182,36 @@ def test_coverage_pairs_override(capsys):
     assert "pair_bound=3" in capsys.readouterr().out
 
 
+def _coverage_outcome(path, window, pairs):
+    """(exit code, stdout) of `coverage`, spelled from the report's Elements."""
+    report = coverage(parse_spec(path.read_text(encoding="utf-8")), window, pairs)
+    gaps = report.gaps
+    lines = [
+        f"window={report.window}",
+        f"pair_bound={report.pair_bound}",
+        f"covered={(window + 1) ** 2 - len(gaps)}",
+        f"gaps={len(gaps)}",
+    ] + [f"gap={gap}" for gap in gaps]
+    return int(bool(gaps)), "".join(f"{line}\n" for line in lines)
+
+
+def test_coverage_gap_lines_build_no_elements(monkeypatch, capsys):
+    runs = [(entry.path, window, None) for entry in VALID_ENTRIES for window in range(61)]
+    runs += [(CORPUS_DIR / f"{name}.spec", 500, 500) for name in ("diagonal_pair", "b_plus")]
+    expected = [_coverage_outcome(*run) for run in runs]
+
+    def refuse(report):
+        raise AssertionError("the gap lines read CoverageReport.gaps")
+
+    monkeypatch.setattr(CoverageReport, "gaps", property(refuse))
+    for (path, window, pairs), (code, out) in zip(runs, expected):
+        argv = ["coverage", str(path), "--window", str(window)]
+        if pairs is not None:
+            argv += ["--pairs", str(pairs)]
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == out, argv
+
+
 def test_crosscheck(capsys):
     assert main(["crosscheck", corpus("r1"), "--window", "6"]) == 0
     out = capsys.readouterr().out
@@ -219,6 +251,21 @@ def test_closed_stdout_pipe_exits_without_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert first.startswith(b"# # #")
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_closed_stdout_pipe_during_gap_lines_exits_without_traceback():
+    # the reader takes one line and closes the pipe before the gap lines are written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bicyclic", "coverage", corpus("diagonal_pair"), "--window", "500", "--pairs", "500"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert first == b"window=500\n"
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 

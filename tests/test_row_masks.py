@@ -29,6 +29,7 @@ from bicyclic import (
     cross_validate,
     decide_left_iorder,
     decompose,
+    parse_spec,
     render_window,
     validate,
     verify_witness,
@@ -212,6 +213,22 @@ def test_row0_decisions_are_linear_in_the_spec_data(form, covered, missing, tmp_
         elapsed = time.perf_counter() - start
         assert (code, capsys.readouterr().out.splitlines()) == (int(fails), lines)
         assert elapsed < 1.0, (argv[0], elapsed)
+
+
+def test_render_reads_each_finite_part_once():
+    # Finite parts are indexed by row once; rescanning the whole triangle
+    # for every rendered row takes about 0.8 s here.
+    rendered = {}
+    for form in ("upper", "twosided-i"):
+        spec = parse_spec(_row0_filled(form, None))
+        start = time.perf_counter()
+        rendered[form] = render_window(spec, WINDOW_LIMIT)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.25, (form, elapsed)
+    first, *rest = rendered["twosided-i"].split("\n")
+    assert first == " ".join("#" * (WINDOW_LIMIT + 1))
+    assert all("#" not in row for row in rest)
+    assert rendered["upper"] == rendered["twosided-i"]
 
 
 def test_validate_cache_is_bounded():
