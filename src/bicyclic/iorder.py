@@ -94,18 +94,19 @@ def _decide_diagonal(spec: Diagonal) -> Decision:
     return _decision(spec.form, (cond,), cert)
 
 
-def _row0_gap(spec: SubsemigroupSpec, limit: int, finite: int) -> Optional[int]:
-    """Least h <= limit with (0, h) missing from S, or None.
+def _row0_gap(spec: Upper | TwoSidedI) -> Optional[int]:
+    """Least h with (0, h) missing from S, or None.
 
-    `finite` bounds the members of row 0 outside its progression.  A gap
-    lies at or below finite + 1: were columns 0 .. finite + 1 all
-    members, the progression would supply two of them, and then either
-    (d = 1) every later column too, or (d > 1) leave a column between two
-    of its terms to the finite parts, which sit at multiples of d (upper)
-    or below the progression (two-sided (i)).  So one mask of at most
-    finite + 2 columns decides the row, however large p or the threshold.
+    Let f count row 0's finite members, which the spec's row index holds
+    apart from its progression.  A gap lies at or below f + 1: were
+    columns 0 .. f + 1 all members, the progression would supply two of
+    them, and then either (d = 1) every later column too, or (d > 1)
+    leave a column between two of its terms to the finite parts, which
+    sit at multiples of d (upper) or below the progression (two-sided
+    (i)).  So one mask of f + 2 columns decides the row, however large
+    p or the row thresholds.
     """
-    width = min(limit, finite + 1) + 1
+    width = len(spec._finite_columns.get(0, ())) + 2
     bits = spec.row_bits(0, 0, width)
     gap = (~bits & (bits + 1)).bit_length() - 1
     return gap if gap < width else None
@@ -114,12 +115,7 @@ def _row0_gap(spec: SubsemigroupSpec, limit: int, finite: int) -> Optional[int]:
 def _decide_upper(spec: Upper) -> Decision:
     step = spec.row_indices.step
     has_row0 = 0 in spec.row_indices
-    # Below the row-0 threshold the row must be filled by finite parts;
-    # at and above it the modular tail takes over, so a bounded scan of
-    # the row decides containment of the whole identity row.
-    limit = spec.rows.threshold(0) + 1 if has_row0 else 1
-    extras = sum(len(ov.extra) for ov in spec.rows.overrides)
-    gap = _row0_gap(spec, limit, len(spec.diagonal_part) + extras)
+    gap = _row0_gap(spec)
     conditions = (
         Condition("d-is-1", step == 1),
         Condition("row-0-in-indices", has_row0),
@@ -157,13 +153,12 @@ def _decide_lower(spec: Lower) -> Decision:
     else:
         # Any column index outside I whose diagonal point is not patched
         # by FD marks an empty L-class, so its idempotent is unreachable.
-        # The bound makes the scan exhaustive: past N and FD a missing
-        # residue class leaves a gap within d columns, and with every
-        # class present the gaps sit below N.
+        # With d = 1, I holds every column from N on when R = {0}, and
+        # column N, above FD's strip, is missing when R is empty, so the
+        # columns 0 .. N hold the least one.
         idx = spec.row_indices
         patched = _diagonal_indices(spec)
-        limit = max([idx.start] + [k + 1 for k in patched]) + idx.step + 1
-        k = next((k for k in range(limit + 1) if k not in idx and k not in patched), None)
+        k = next((k for k in range(idx.start + 1) if k not in idx and k not in patched), None)
         uncovered = Element(k, k) if k is not None else None
         reason = REASON_EMPTY_L_CLASS if k is not None else None
         cert = Certificate("all-columns-present", uncovered, reason)
@@ -171,9 +166,7 @@ def _decide_lower(spec: Lower) -> Decision:
 
 
 def _decide_twosided_i(spec: TwoSidedI) -> Decision:
-    # Membership of (0, h) is eventually periodic in h with period d, so
-    # with d = 1 checking through p + 1 decides the whole identity row.
-    gap = _row0_gap(spec, spec.p + 1, len(spec.diagonal_part) + len(spec.triangle_part))
+    gap = _row0_gap(spec)
     conditions = (
         Condition("d-is-1", spec.step == 1),
         Condition("q-is-0", spec.q == 0),

@@ -111,10 +111,6 @@ class RowOverride:
     m: int
     extra: frozenset[Element] = frozenset()
 
-    @cached_property
-    def _extra_columns(self) -> dict[int, list[int]]:
-        return _columns_by_row(self.extra)
-
 
 @dataclass(frozen=True)
 class RowData:
@@ -127,11 +123,13 @@ class RowData:
     m_default: int = 0
     overrides: tuple[RowOverride, ...] = ()
 
+    @cached_property
+    def _by_row(self) -> dict[int, RowOverride]:
+        # reversed, so the first override listed for a row wins
+        return {ov.row: ov for ov in reversed(self.overrides)}
+
     def override_for(self, row: int) -> Optional[RowOverride]:
-        for ov in self.overrides:
-            if ov.row == row:
-                return ov
-        return None
+        return self._by_row.get(row)
 
     def threshold(self, row: int) -> int:
         ov = self.override_for(row)
@@ -230,18 +228,15 @@ class _RowFamily:
 
     @cached_property
     def _finite_columns(self) -> dict[int, list[int]]:
-        return _columns_by_row(self.diagonal_part)
+        # validation keeps each override's extras on its own row, inside I
+        return _columns_by_row(self.diagonal_part, *(ov.extra for ov in self.rows.overrides))
 
     def row_bits(self, i: int, lo: int, width: int) -> int:
         """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
         bits = _finite_bits(self._finite_columns, i, lo, width)
-        if i not in self.row_indices:
-            return bits
-        t = self.rows.threshold(i)
-        bits |= _progression(t + (i - t) % self.step, self.step, lo, width)
-        ov = self.rows.override_for(i)
-        if ov is not None:
-            bits |= _finite_bits(ov._extra_columns, i, lo, width)
+        if i in self.row_indices:
+            t = self.rows.threshold(i)
+            bits |= _progression(t + (i - t) % self.step, self.step, lo, width)
         return bits
 
 

@@ -75,10 +75,11 @@ def _in_row_family(spec, x: Element) -> bool:
         return True
     if x.i not in spec.row_indices:
         return False
-    ov = spec.rows.override_for(x.i)
-    if ov is not None and x in ov.extra:
+    # the first override listed for the row wins; rows never dip below the diagonal
+    m = next((ov.m for ov in spec.rows.overrides if ov.row == x.i), spec.rows.m_default)
+    if any(ov.row == x.i and x in ov.extra for ov in spec.rows.overrides):
         return True
-    return in_row(x, x.i, spec.rows.threshold(x.i), spec.row_indices.step)
+    return in_row(x, x.i, max(m, x.i), spec.row_indices.step)
 
 
 def _in_two_sided(spec, x: Element) -> bool:

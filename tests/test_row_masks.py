@@ -28,6 +28,8 @@ from bicyclic import (
     coverage,
     cross_validate,
     decide_left_iorder,
+    decide_right_iorder,
+    decision_lines,
     decompose,
     parse_spec,
     render_window,
@@ -37,7 +39,7 @@ from bicyclic import (
 from bicyclic.cli import main
 from bicyclic.subsemigroups import VALIDATE_CACHE_SIZE, WINDOW_LIMIT, _grid
 from golden import CORPUS_DIR
-from test_random_specs import random_diagonal, random_row_family, random_two_sided
+from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
 
 fs = frozenset
 FAR = 10**12
@@ -79,6 +81,33 @@ def lift(spec, b):
     )
 
 
+def overridden_row_families(seed, count):
+    """`count` valid upper and lower specs with 2-4 overrides on distinct rows.
+
+    Some overrides carry extras, and some raise m above default_m, as far
+    as FAR, so the rows show their extras and little else.
+    """
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        d = rng.choice([1, 1, 2, 3])
+        n = rng.randint(0, 4)
+        idx = IndexSet(subset(range(n), rng), fs({0}) | subset(range(d), rng), n, d)
+        m_default = rng.randint(0, 4)
+        rows = [k for k in range(12) if k in idx]  # at least 6 and 9, as 0 is in R
+        overrides = []
+        for row in rng.sample(rows, rng.randint(2, min(4, len(rows)))):
+            m = rng.choice([rng.randint(0, m_default), rng.randint(m_default + 1, 14), FAR])
+            extras = subset([Element(row, row + d * u) for u in range(5)], rng)
+            overrides.append(RowOverride(row, m, extras))
+        fd = subset([Element(k, k) for k in range(idx.min() + 1)], rng, 2)
+        cls = Upper if rng.random() < 0.5 else Lower
+        spec = cls(fd, idx, RowData(m_default, tuple(overrides)))
+        assert validate(spec).ok, spec
+        specs.append(spec)
+    return specs
+
+
 def grid_cells(spec, rows, cols):
     return {Element(i, j) for i, row in enumerate(_grid(spec, rows, cols)) for j in range(cols) if row >> j & 1}
 
@@ -91,7 +120,7 @@ def test_random_specs_cover_all_five_forms():
 def test_grids_equal_the_oracle(corpus_specs):
     # rows past the window (25 x 8), columns past it (8 x 25), and the
     # square window (13 x 13); lower forms put members below the diagonal (j < i)
-    specs = list(corpus_specs.values()) + random_specs(11, 800)
+    specs = list(corpus_specs.values()) + random_specs(11, 800) + overridden_row_families(17, 200)
     below_diagonal = 0
     for spec in specs:
         for rows, cols in ((25, 8), (8, 25), (13, 13)):
@@ -170,6 +199,28 @@ class TestHugeParameters:
         assert not decision.verdict
         assert decision.certificate.uncovered == Element(2, 2)
 
+    def test_lower_far_override_leaves_the_column_scan_short(self):
+        # a scan bounded by the largest constant would run to 10**18 here
+        rows = RowData(0, (RowOverride(5, self.P),))
+        spec = Lower(fs({Element(0, 0), Element(1, 1)}), IndexSet(fs({1}), fs({0}), 2, 1), rows)
+        assert decision_lines(decide_left_iorder(spec)) == [
+            "side=left",
+            "verdict=no",
+            "form=lower",
+            "condition.d-is-1=holds",
+            "condition.all-columns-present=fails",
+            "certificate.failed=all-columns-present",
+        ]
+        assert decide_right_iorder(spec).certificate.uncovered == Element(0, 1)
+
+    def test_upper_far_override_m(self):
+        extras = fs({Element(0, 0), Element(0, 1), Element(0, 2)})
+        spec = Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0, (RowOverride(0, self.P, extras),)))
+        left = decide_left_iorder(spec)
+        assert left.certificate.failed_condition == "row-0-prefix-covered"
+        assert left.certificate.uncovered == Element(0, 3)
+        assert decide_right_iorder(spec).certificate.uncovered == Element(1, 1)
+
     def test_upper_and_twosided_i_thresholds(self):
         upper = Upper(fs({Element(0, 0)}), IndexSet(fs({0}), fs(), 1, 1), RowData(self.P))
         assert decide_left_iorder(upper).certificate.uncovered == Element(0, 1)
@@ -229,6 +280,20 @@ def test_render_reads_each_finite_part_once():
     assert first == " ".join("#" * (WINDOW_LIMIT + 1))
     assert all("#" not in row for row in rest)
     assert rendered["upper"] == rendered["twosided-i"]
+
+
+def test_render_reads_each_override_once():
+    # Overrides are indexed by row once; scanning them all for every row
+    # read takes 0.38-0.62 s here, as the rows sit at the end of the list.
+    # Each override (k, m=k+1, F={(k,k)}) restates row k of the plain spec.
+    header = "form=upper\nd=1 N=0 I0= R=0\n"
+    overrides = "".join(f"row={k} m={k + 1} F=({k},{k})\n" for k in reversed(range(ROW0_SIZE)))
+    spec = parse_spec(header + overrides)
+    start = time.perf_counter()
+    rendered = render_window(spec, WINDOW_LIMIT)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, elapsed
+    assert rendered == render_window(parse_spec(header), WINDOW_LIMIT)
 
 
 def test_validate_cache_is_bounded():
