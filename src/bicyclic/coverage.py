@@ -30,6 +30,7 @@ from .subsemigroups import (
     TwoSidedI,
     TwoSidedII,
     Upper,
+    _check_limit,
     _check_window,
     _grid,
     closure_falsify,
@@ -93,12 +94,11 @@ def coverage(
 ) -> CoverageReport:
     """Scan the pair window's members and mark the window rows they cover."""
     require_valid(spec)
-    if window < 0:
-        raise ValueError(f"window must be nonnegative, got {window}")
+    _check_window(window)
     if pair_bound is None:
         pair_bound = default_pair_bound(spec, window)
-    _check_window("window", window)
-    _check_window("pair bound", pair_bound)
+    # no lower check: a negative pair bound scans no members
+    _check_limit("pair bound", pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
     # >= y.j, so only members with j <= window can contribute.
     members = _grid(spec, pair_bound + 1, min(window, pair_bound) + 1)
@@ -134,9 +134,8 @@ def cross_validate(spec: SubsemigroupSpec, window: int) -> CrossCheckReport:
         if not passed:
             notes.append(f"yes verdict but {gaps} window gaps")
     else:
-        cert = decision.certificate
-        if cert is not None and cert.uncovered is not None:
-            c = cert.uncovered
+        c = decision.certificate.uncovered
+        if c is not None:
             if c.i <= window and c.j <= window:
                 passed = not report.rows[c.i] >> c.j & 1
                 notes.append(

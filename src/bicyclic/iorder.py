@@ -13,8 +13,10 @@ question reduces to finitely checkable parameter conditions:
 
 Negative verdicts carry a certificate: the failed condition plus, when
 one can be read off the data, a concrete element that no product
-inverse(x) * y can reach.  The right question reduces to the left one for
-the reflected spec, since reflection is an anti-isomorphism.
+inverse(x) * y can reach.  Each form's decider returns its conditions
+and certificate, and `_decision` alone forms the verdict from them,
+checking that the two agree.  The right question reduces to the left
+one for the reflected spec, since reflection is an anti-isomorphism.
 """
 
 from __future__ import annotations
@@ -86,12 +88,17 @@ def _decision(form: str, conditions: tuple[Condition, ...], certificate) -> Deci
     return Decision(verdict, form, conditions, certificate)
 
 
-def _decide_diagonal(spec: Diagonal) -> Decision:
+# With spacing d > 1 no member pair reaches the parity class of (0, 1).
+_PARITY = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
+
+_Verdict = tuple[tuple[Condition, ...], Optional[Certificate]]
+
+
+def _decide_diagonal(spec: Diagonal) -> _Verdict:
     # Products of idempotents are idempotent, so inverse(x) * y stays on
     # the diagonal and (0, 1) is never reached.
     cond = Condition("contains-non-idempotent", False)
-    cert = Certificate("contains-non-idempotent", Element(0, 1), REASON_IDEMPOTENTS_ONLY)
-    return _decision(spec.form, (cond,), cert)
+    return (cond,), Certificate("contains-non-idempotent", Element(0, 1), REASON_IDEMPOTENTS_ONLY)
 
 
 def _row0_gap(spec: Upper | TwoSidedI) -> Optional[int]:
@@ -105,6 +112,10 @@ def _row0_gap(spec: Upper | TwoSidedI) -> Optional[int]:
     sit at multiples of d (upper) or below the progression (two-sided
     (i)).  So one mask of f + 2 columns decides the row, however large
     p or the row thresholds.
+
+    Row 0 outside the row indices holds at most (0, 0), so a None here
+    also means that row 0 is in I (upper) and that q = 0 (two-sided (i)):
+    with d = 1, the deciders' conditions all hold iff this is None.
     """
     width = len(spec._finite_columns.get(0, ())) + 2
     bits = spec.row_bits(0, 0, width)
@@ -112,113 +123,93 @@ def _row0_gap(spec: Upper | TwoSidedI) -> Optional[int]:
     return gap if gap < width else None
 
 
-def _decide_upper(spec: Upper) -> Decision:
-    step = spec.row_indices.step
+def _decide_upper(spec: Upper) -> _Verdict:
     has_row0 = 0 in spec.row_indices
     gap = _row0_gap(spec)
     conditions = (
-        Condition("d-is-1", step == 1),
+        Condition("d-is-1", spec.step == 1),
         Condition("row-0-in-indices", has_row0),
         Condition("row-0-prefix-covered", gap is None),
     )
-    if all(c.holds for c in conditions):
-        return _decision(spec.form, conditions, None)
-    if step != 1:
-        cert = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
-    else:
-        assert gap is not None
-        cert = Certificate(
-            "row-0-in-indices" if not has_row0 else "row-0-prefix-covered",
-            Element(0, gap),
-            REASON_ROW0_GAP,
-        )
-    return _decision(spec.form, conditions, cert)
+    if spec.step != 1:
+        return conditions, _PARITY
+    if gap is None:
+        return conditions, None
+    failed = "row-0-prefix-covered" if has_row0 else "row-0-in-indices"
+    return conditions, Certificate(failed, Element(0, gap), REASON_ROW0_GAP)
 
 
-def _diagonal_indices(spec) -> frozenset[int]:
-    return frozenset(e.i for e in spec.diagonal_part)
+def _empty_column(spec: Lower | TwoSidedII, failed: str, bound: int) -> Certificate:
+    """The certificate for a failed column condition of a reflected form.
+
+    A column k of S is empty when row k of the upper orientation is: k is
+    outside I and no finite part has a member on row k.  Its idempotent
+    (k, k) is then unreachable.  The scan takes the least such k below
+    `bound`; each k it passes is in I or holds a finite member, so it
+    ends within the spec's data however large the bound.
+    """
+    for k in range(bound):
+        if k not in spec.row_indices and k not in spec._finite_columns:
+            return Certificate(failed, Element(k, k), REASON_EMPTY_L_CLASS)
+    return Certificate(failed)
 
 
-def _decide_lower(spec: Lower) -> Decision:
-    step = spec.row_indices.step
-    full = spec.row_indices.is_full()
+def _decide_lower(spec: Lower) -> _Verdict:
     conditions = (
-        Condition("d-is-1", step == 1),
-        Condition("all-columns-present", full),
+        Condition("d-is-1", spec.step == 1),
+        Condition("all-columns-present", spec.row_indices.is_full()),
     )
-    if all(c.holds for c in conditions):
-        return _decision(spec.form, conditions, None)
-    if step != 1:
-        cert = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
-    else:
-        # Any column index outside I whose diagonal point is not patched
-        # by FD marks an empty L-class, so its idempotent is unreachable.
-        # With d = 1, I holds every column from N on when R = {0}, and
-        # column N, above FD's strip, is missing when R is empty, so the
-        # columns 0 .. N hold the least one.
-        idx = spec.row_indices
-        patched = _diagonal_indices(spec)
-        k = next((k for k in range(idx.start + 1) if k not in idx and k not in patched), None)
-        uncovered = Element(k, k) if k is not None else None
-        reason = REASON_EMPTY_L_CLASS if k is not None else None
-        cert = Certificate("all-columns-present", uncovered, reason)
-    return _decision(spec.form, conditions, cert)
+    if spec.step != 1:
+        return conditions, _PARITY
+    if conditions[1].holds:
+        return conditions, None
+    # With d = 1, I holds every column from N on when R = {0}, and column
+    # N, above FD's strip, is missing when R is empty, so the columns
+    # 0 .. N hold the least empty one.
+    return conditions, _empty_column(spec, "all-columns-present", spec.row_indices.start + 1)
 
 
-def _decide_twosided_i(spec: TwoSidedI) -> Decision:
+def _decide_twosided_i(spec: TwoSidedI) -> _Verdict:
     gap = _row0_gap(spec)
     conditions = (
         Condition("d-is-1", spec.step == 1),
         Condition("q-is-0", spec.q == 0),
         Condition("identity-row-covered", gap is None),
     )
-    if all(c.holds for c in conditions):
-        return _decision(spec.form, conditions, None)
     if spec.step != 1:
-        cert = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
-    else:
-        assert gap is not None
-        cert = Certificate("identity-row-covered", Element(0, gap), REASON_ROW0_GAP)
-    return _decision(spec.form, conditions, cert)
+        return conditions, _PARITY
+    if gap is None:
+        return conditions, None
+    return conditions, Certificate("identity-row-covered", Element(0, gap), REASON_ROW0_GAP)
 
 
-def _decide_twosided_ii(spec: TwoSidedII) -> Decision:
+def _decide_twosided_ii(spec: TwoSidedII) -> _Verdict:
     # Validation keeps I within {q, ..., p-1}, so I is all of {0, ..., p-1}
     # exactly when q = 0 and I has p members.
     conditions = (
         Condition("d-is-1", spec.step == 1),
         Condition("columns-0-to-p-covered", spec.q == 0 and len(spec.row_indices) == spec.p),
     )
-    if all(c.holds for c in conditions):
-        return _decision(spec.form, conditions, None)
     if spec.step != 1:
-        cert = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
-    else:
-        # A missing column below p is an empty L-class provided neither FD
-        # nor the reflected triangle touches it.  Each column the scan
-        # passes is in I, FD or a triangle row, which bounds the scan.
-        touched = spec.row_indices | _diagonal_indices(spec) | {e.i for e in spec.triangle_part}
-        m = next((m for m in range(spec.p) if m not in touched), None)
-        uncovered = Element(m, m) if m is not None else None
-        reason = REASON_EMPTY_L_CLASS if m is not None else None
-        cert = Certificate("columns-0-to-p-covered", uncovered, reason)
-    return _decision(spec.form, conditions, cert)
+        return conditions, _PARITY
+    if conditions[1].holds:
+        return conditions, None
+    return conditions, _empty_column(spec, "columns-0-to-p-covered", spec.p)
+
+
+_DECIDERS = {
+    Diagonal: _decide_diagonal,
+    Upper: _decide_upper,
+    Lower: _decide_lower,
+    TwoSidedI: _decide_twosided_i,
+    TwoSidedII: _decide_twosided_ii,
+}
 
 
 def decide_left_iorder(spec: SubsemigroupSpec) -> Decision:
     """Decide whether the described subsemigroup is a left I-order."""
     require_valid(spec)
-    if isinstance(spec, Diagonal):
-        return _decide_diagonal(spec)
-    if isinstance(spec, Upper):
-        return _decide_upper(spec)
-    if isinstance(spec, Lower):
-        return _decide_lower(spec)
-    if isinstance(spec, TwoSidedI):
-        return _decide_twosided_i(spec)
-    if isinstance(spec, TwoSidedII):
-        return _decide_twosided_ii(spec)
-    raise TypeError(f"not a subsemigroup spec: {spec!r}")
+    return _decision(spec.form, *_DECIDERS[type(spec)](spec))
 
 
 _REFLECTION = {Upper: Lower, Lower: Upper, TwoSidedI: TwoSidedII, TwoSidedII: TwoSidedI}

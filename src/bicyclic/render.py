@@ -16,9 +16,7 @@ def render_window(spec: SubsemigroupSpec, window: int) -> str:
     no trailing newline.
     """
     require_valid(spec)
-    if window < 0:
-        raise ValueError(f"window must be nonnegative, got {window}")
-    _check_window("window", window)
+    _check_window(window)
     size = window + 1
     # format() writes column 0 last, so each row's bits are reversed
     return "\n".join(

@@ -25,8 +25,9 @@ shapes; the converse is not guaranteed, so the decision procedures
 downstream assume the data denotes a genuine subsemigroup and
 `closure_falsify` provides bounded assurance of that.
 
-Window-sized work is bounded: windows and pair bounds above
-`WINDOW_LIMIT` raise ValueError before anything of that size is built.
+Window-sized work is bounded: negative windows, and windows and pair
+bounds above `WINDOW_LIMIT`, raise ValueError before anything of that
+size is built.
 """
 
 from __future__ import annotations
@@ -283,10 +284,10 @@ class _TwoSided:
         bits = _finite_bits(self._finite_columns, i, lo, width)
         if i in self.row_indices:
             bits |= _progression(self.p + (i - self.p) % self.step, self.step, lo, width)
-        for r in self.offsets:
-            corner = self.p + r
-            if i >= corner and (i - corner) % self.step == 0:
-                bits |= _progression(corner, self.step, lo, width)
+        # validation keeps P below d, so only one offset can hold row i
+        r = (i - self.p) % self.step
+        if r in self.offsets and i >= self.p + r:
+            bits |= _progression(self.p + r, self.step, lo, width)
         return bits
 
 
@@ -454,10 +455,17 @@ def require_valid(spec: SubsemigroupSpec) -> None:
         raise InvalidSpecError(report)
 
 
-def _check_window(name: str, value: int) -> None:
+def _check_limit(name: str, value: int) -> None:
     """Refuse window-sized work beyond WINDOW_LIMIT, before any of it is built."""
     if value > WINDOW_LIMIT:
         raise ValueError(f"{name} {value} exceeds the limit {WINDOW_LIMIT}")
+
+
+def _check_window(window: int) -> None:
+    """Refuse a negative window, or one beyond WINDOW_LIMIT."""
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
+    _check_limit("window", window)
 
 
 def _set_bits(mask: int) -> Iterator[int]:
@@ -517,7 +525,7 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     row they land in.
     """
     require_valid(spec)
-    _check_window("window", window)
+    _check_window(window)
     size = window + 1
     span = _grid(spec, 2 * window + 1, 2 * window + 1)
     rows = [row & ((1 << size) - 1) for row in span[:size]]

@@ -26,7 +26,6 @@ from .subsemigroups import (
     Lower,
     SubsemigroupSpec,
     TwoSidedI,
-    TwoSidedII,
     Upper,
     contains,
     require_valid,
@@ -61,7 +60,7 @@ class NotLeftIOrderError(ValueError):
 
     def __init__(self, decision: Decision):
         self.decision = decision
-        failed = decision.certificate.failed_condition if decision.certificate else "?"
+        failed = decision.certificate.failed_condition
         super().__init__(f"not a left I-order ({decision.form}): condition {failed} fails")
 
 
@@ -83,10 +82,9 @@ def decompose(spec: SubsemigroupSpec, q: Element) -> Witness:
     if isinstance(spec, Lower):
         t = max(spec.rows.threshold(m), spec.rows.threshold(n))
         return Witness(q, Element(m + n + t, m), Element(m + n + t, n), SCHEME_LOWER)
-    if isinstance(spec, TwoSidedII):
-        lift = spec.p + m + n
-        return Witness(q, Element(lift, m), Element(lift, n), SCHEME_TWOSIDED_II)
-    raise NotLeftIOrderError(decision)
+    # a yes verdict leaves two-sided (ii) as the last form
+    lift = spec.p + m + n
+    return Witness(q, Element(lift, m), Element(lift, n), SCHEME_TWOSIDED_II)
 
 
 def _maxplus(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -25,7 +25,7 @@ from bicyclic import (
 from bicyclic import iorder
 import membership_oracle as oracle
 from golden import NO_ENTRIES, VALID_ENTRIES, YES_ENTRIES
-from test_row_masks import grid_cells
+from test_row_masks import grid_cells, random_specs
 
 fs = frozenset
 
@@ -161,6 +161,45 @@ def test_lower_certificate_skips_diagonal_part():
     assert not decision.verdict
     assert decision.certificate is not None
     assert decision.certificate.uncovered is None
+
+
+# Every constant that test_random_specs' generators draw is below 20.
+CERT_WINDOW = 20
+
+
+def _column_members(spec, k):
+    return [i for i in range(CERT_WINDOW) if oracle.contains(spec, Element(i, k))]
+
+
+def test_random_certificates_mean_what_they_say():
+    # Each "no" is checked against the element oracle for what its reason
+    # claims, on both sides, so a certificate that is well formed but points
+    # at the wrong element fails here.
+    reasons = {}
+    for spec in random_specs(11, 900):
+        for decided in (spec, hat_spec(spec)):
+            decision = decide_left_iorder(decided)
+            if decision.verdict:
+                continue
+            cert = decision.certificate
+            assert cert.failed_condition in {c.name for c in decision.conditions if not c.holds}
+            reasons[cert.reason] = reasons.get(cert.reason, 0) + 1
+            c = cert.uncovered
+            if cert.reason == "parity":
+                assert decided.step != 1, decided
+            elif cert.reason == "idempotents-only":
+                assert isinstance(decided, Diagonal), decided
+            elif cert.reason == "row0-gap":
+                assert c.i == 0, decided
+                assert not oracle.contains(decided, c), decided
+                assert all(oracle.contains(decided, Element(0, j)) for j in range(c.j)), decided
+            elif cert.reason == "empty-L-class":
+                assert c.i == c.j, decided
+                assert not _column_members(decided, c.j), decided
+                assert all(_column_members(decided, j) for j in range(c.j)), decided
+            else:
+                assert cert.reason is None and c is None, decided
+    assert all(reasons.get(r) for r in ("parity", "idempotents-only", "row0-gap", "empty-L-class")), reasons
 
 
 def test_decision_lines_format():

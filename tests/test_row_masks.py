@@ -282,6 +282,22 @@ def test_render_reads_each_finite_part_once():
     assert rendered["upper"] == rendered["twosided-i"]
 
 
+def test_render_reads_each_square_offset_once():
+    # Validation keeps P below d, so a row read looks up the one offset that
+    # can hold it; looping over all of P for every row takes about 1.6 s on
+    # a 2-core VM.
+    spec = TwoSidedI(0, 1, 200_000, fs({0}), fs(range(100_000)))
+    start = time.perf_counter()
+    rendered = render_window(spec, WINDOW_LIMIT)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.25, elapsed
+    # inside the window, each corner 1 + r holds its own idempotent only
+    size = WINDOW_LIMIT + 1
+    assert rendered.split("\n") == [
+        " ".join("#" if j == i > 0 else "." for j in range(size)) for i in range(size)
+    ]
+
+
 def test_render_reads_each_override_once():
     # Overrides are indexed by row once; scanning them all for every row
     # read takes 0.38-0.62 s here, as the rows sit at the end of the list.
@@ -323,6 +339,12 @@ HUGE = 10**9
 def test_window_sized_work_is_refused_beyond_the_limit(call):
     with pytest.raises(ValueError, match=f"exceeds the limit {WINDOW_LIMIT}"):
         call()
+
+
+@pytest.mark.parametrize("call", [render_window, coverage, closure_falsify, cross_validate])
+def test_negative_windows_are_refused(call):
+    with pytest.raises(ValueError, match="window must be nonnegative, got -3"):
+        call(R1, -3)
 
 
 def test_limit_itself_is_accepted():
