@@ -523,20 +523,62 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     the row it lands in.  Products of window members stay within
     2 * window in both coordinates, so one grid of that size holds every
     row they land in.
+
+    With R[m] the window members of row m, that gives two conditions on
+    x, one per side of t:
+
+    - m <= l: y lands in row k at column n + l - m, so every such row
+      is safe iff B(l) = OR over m <= l of R[m] << (l - m) is a subset
+      of row k.  B(l) = (B(l - 1) << 1) | R[l], and read as a virtual
+      row l it is checked by the same product with its least member.
+    - m > l: y lands in row m + o at column n, with o = k - l, so every
+      such row is safe iff no m > l has R[m] outside row m + o.  The
+      largest m that breaks this depends on o alone, so it is found
+      once per offset.
+
+    Every row m is on one side, so x is safe iff both hold, and each
+    member costs one product and one lookup.  The first member that
+    fails runs the per-row check above, which names the first failing
+    y in sorted order.
     """
     require_valid(spec)
     _check_window(window)
     size = window + 1
     span = _grid(spec, 2 * window + 1, 2 * window + 1)
     rows = [row & ((1 << size) - 1) for row in span[:size]]
-    heads = [(row, Element(m, (row & -row).bit_length() - 1)) for m, row in enumerate(rows) if row]
-    for k, members in enumerate(rows):
-        for l in _set_bits(members):
-            x = Element(k, l)
-            for row, head in heads:
-                z = multiply(x, head)
-                escaped = row & ~(span[z.i] >> (z.j - head.j))
-                if escaped:
-                    y = Element(head.i, (escaped & -escaped).bit_length() - 1)
-                    return ClosureFailure(x, y, multiply(x, y))
+    members = [(k, l) for k, row in enumerate(rows) for l in _set_bits(row)]
+    # blocks[l] is B(l); last_escape[o] is the largest m, above the least l
+    # of the members with offset o, whose R[m] is outside row m + o, or -1
+    blocks = []
+    block = 0
+    for row in rows:
+        block = (block << 1) | row
+        blocks.append(block)
+    # in (k, l) order the first member with offset o has the least l
+    least: dict[int, int] = {}
+    for k, l in members:
+        least.setdefault(k - l, l)
+    last_escape = {
+        o: next((m for m in range(window, l, -1) if rows[m] & ~span[m + o]), -1)
+        for o, l in least.items()
+    }
+    for k, l in members:
+        x = Element(k, l)
+        if last_escape[k - l] <= l and not (blocks[l] and _escape(x, l, blocks[l], span)):
+            continue
+        for m, row in enumerate(rows):
+            failure = row and _escape(x, m, row, span)
+            if failure:
+                return failure
     return None
+
+
+def _escape(x: Element, m: int, row: int, span: list[int]) -> Optional[ClosureFailure]:
+    """The first member of row m, given by its mask, that x sends outside the set."""
+    head = Element(m, (row & -row).bit_length() - 1)
+    z = multiply(x, head)
+    escaped = row & ~(span[z.i] >> (z.j - head.j))
+    if not escaped:
+        return None
+    y = Element(m, (escaped & -escaped).bit_length() - 1)
+    return ClosureFailure(x, y, multiply(x, y))

@@ -13,6 +13,7 @@ import pytest
 
 import membership_oracle as oracle
 from bicyclic import (
+    ClosureFailure,
     Diagonal,
     DiagonalTail,
     Element,
@@ -167,14 +168,53 @@ def test_closure_probe_equals_the_pair_loop(corpus_specs):
         if spec is None or not validate(spec).ok:
             continue
         cases += 1
-        for window in (3, 6, 10):
+        # the oracle takes about 20 ms a spec at window 16, so one spec in ten
+        for window in (0, 3, 6, 10, 16) if cases % 10 == 0 else (0, 3, 6, 10):
             expected = oracle.closure_falsify(spec, window)
             assert closure_falsify(spec, window) == expected, (spec, window)
             failing += expected is not None
     for spec in corpus_specs.values():
-        for window in (0, 3, 6, 10):
+        for window in (0, 3, 6, 10, 16):
             assert closure_falsify(spec, window) is None
-    assert failing >= 300, failing
+    assert failing >= 350, failing
+
+
+@pytest.mark.parametrize(
+    "spec, window, expected",
+    [
+        # Column 0 from row 2 down plus the square from (2,2) on.
+        # (2,3) * (2,0) = (2,1): y's row 2 is at most x.j = 3, so the row
+        # lands in x's row 2 shifted by 1, and column 1 is empty.
+        (
+            TwoSidedII(0, 2, 1, fs({0}), fs({0})),
+            3,
+            ClosureFailure(Element(2, 3), Element(2, 0), Element(2, 1)),
+        ),
+        # Row 0 from column 2 on plus the same square.  x = (0,2) sends every
+        # row m <= 2 into row 0, which holds them; y's row 3 lies above x.j,
+        # so it lands unshifted in row 3 - 2 = 1, which is empty.
+        (
+            TwoSidedI(0, 2, 1, fs({0}), fs({0})),
+            3,
+            ClosureFailure(Element(0, 2), Element(3, 2), Element(1, 2)),
+        ),
+    ],
+    ids=["row-at-or-below-x.j", "row-above-x.j"],
+)
+def test_closure_probe_names_the_first_failing_pair(spec, window, expected):
+    assert closure_falsify(spec, window) == expected == oracle.closure_falsify(spec, window)
+    # more rows and offsets, same first failure
+    assert closure_falsify(spec, 20) == expected
+
+
+def test_closure_probe_is_quadratic_in_the_window():
+    # One block check and one offset lookup per member; one product per
+    # (member, row) pair is cubic and takes about 2.5 s here on a 2-core VM.
+    spec = parse_spec((CORPUS_DIR / "twosided_ii_all_columns.spec").read_text())
+    start = time.perf_counter()
+    assert closure_falsify(spec, 160) is None
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, elapsed
 
 
 class TestHugeParameters:
