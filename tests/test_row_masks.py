@@ -6,6 +6,7 @@ random specs of all five forms; decisions on huge parameters must not
 grow with them; window-sized work is refused beyond the limit.
 """
 
+import gc
 import random
 import time
 
@@ -107,6 +108,19 @@ def overridden_row_families(seed, count):
         assert validate(spec).ok, spec
         specs.append(spec)
     return specs
+
+
+def timed(call):
+    """`call()` and its wall-clock seconds, the clock started on a collected heap.
+
+    By the time these tests run, a full collection of the test session's
+    heap takes about 0.15 s on a 2-core VM; one that lands inside the
+    timed call would charge it to the call.
+    """
+    gc.collect()
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
 
 
 def grid_cells(spec, rows, cols):
@@ -211,9 +225,8 @@ def test_closure_probe_is_quadratic_in_the_window():
     # One block check and one offset lookup per member; one product per
     # (member, row) pair is cubic and takes about 2.5 s here on a 2-core VM.
     spec = parse_spec((CORPUS_DIR / "twosided_ii_all_columns.spec").read_text())
-    start = time.perf_counter()
-    assert closure_falsify(spec, 160) is None
-    elapsed = time.perf_counter() - start
+    failure, elapsed = timed(lambda: closure_falsify(spec, 160))
+    assert failure is None
     assert elapsed < 0.5, elapsed
 
 
@@ -299,9 +312,7 @@ def test_row0_decisions_are_linear_in_the_spec_data(form, covered, missing, tmp_
         decision += [f"certificate.failed={covered}", f"certificate.element=(0,{missing})", "certificate.reason=row0-gap"]
     witness = decision + ["witness=refused"] if fails else ["q=(3,5) x=(0,3) y=(0,5) scheme=row0"]
     for argv, lines in ((["decide", str(spec)], decision), (["witness", str(spec), "(3,5)"], witness)):
-        start = time.perf_counter()
-        code = main(argv)
-        elapsed = time.perf_counter() - start
+        code, elapsed = timed(lambda: main(argv))
         assert (code, capsys.readouterr().out.splitlines()) == (int(fails), lines)
         assert elapsed < 1.0, (argv[0], elapsed)
 
@@ -312,9 +323,7 @@ def test_render_reads_each_finite_part_once():
     rendered = {}
     for form in ("upper", "twosided-i"):
         spec = parse_spec(_row0_filled(form, None))
-        start = time.perf_counter()
-        rendered[form] = render_window(spec, WINDOW_LIMIT)
-        elapsed = time.perf_counter() - start
+        rendered[form], elapsed = timed(lambda: render_window(spec, WINDOW_LIMIT))
         assert elapsed < 0.25, (form, elapsed)
     first, *rest = rendered["twosided-i"].split("\n")
     assert first == " ".join("#" * (WINDOW_LIMIT + 1))
@@ -327,9 +336,7 @@ def test_render_reads_each_square_offset_once():
     # can hold it; looping over all of P for every row takes about 1.6 s on
     # a 2-core VM.
     spec = TwoSidedI(0, 1, 200_000, fs({0}), fs(range(100_000)))
-    start = time.perf_counter()
-    rendered = render_window(spec, WINDOW_LIMIT)
-    elapsed = time.perf_counter() - start
+    rendered, elapsed = timed(lambda: render_window(spec, WINDOW_LIMIT))
     assert elapsed < 0.25, elapsed
     # inside the window, each corner 1 + r holds its own idempotent only
     size = WINDOW_LIMIT + 1
@@ -345,9 +352,7 @@ def test_render_reads_each_override_once():
     header = "form=upper\nd=1 N=0 I0= R=0\n"
     overrides = "".join(f"row={k} m={k + 1} F=({k},{k})\n" for k in reversed(range(ROW0_SIZE)))
     spec = parse_spec(header + overrides)
-    start = time.perf_counter()
-    rendered = render_window(spec, WINDOW_LIMIT)
-    elapsed = time.perf_counter() - start
+    rendered, elapsed = timed(lambda: render_window(spec, WINDOW_LIMIT))
     assert elapsed < 0.1, elapsed
     assert rendered == render_window(parse_spec(header), WINDOW_LIMIT)
 
