@@ -5,21 +5,22 @@ x, y of a set, computed on whole rows at once instead of pair by pair.
 The set comes as its row masks, the form every membership query in
 `subsemigroups` produces.
 
-For x = (a, c) and a member y in row r, inverse(x) * y is
-(c - a + t, y.j - r + t) with t = max(a, r), so
+For x = (a, c) and a member y = (r, n) with r <= a, inverse(x) * y is
+(c, n + a - r): it lands in row c with the columns of y shifted up by
+a - r.  With R[r] the column mask of row r, walking the rows upward with
+below = ((below << 1) & full) | R[a] yields, on reaching row a, the OR
+over r <= a of R[r] << (a - r), which is ORed into row c for every
+member (a, c).
 
-- if r >= a, it lands in row c - a + r with the columns of y unchanged;
-- if r < a, it lands in row c with the columns of y shifted up by a - r.
+The pairs with r > a need no second recurrence, as the set is closed
+under inverse: inverse(inverse(x) * y) = inverse(y) * x, and (y, x) is
+a pair of the first kind, so the walk marks its cell and (x, y)'s cell
+is that cell's mirror.  The grid is the walk's grid ORed with its
+transpose; the window is a square, so a mirrored cell stays inside it.
 
-With R[r] the column mask of row r, the first case ORs R[r] into row
-r + (c - a) for every r >= a: among the x sharing the offset c - a, the
-one with the least a reaches every row the others reach, so only it is
-kept.  The second case ORs S(a) = OR over r < a of R[r] << (a - r) into
-row c; walking the rows upward with S = ((S | R[r]) << 1) & full yields
-S(a) on reaching row a.  Masks keep window + 1 bits: the product's row
-is at least x.j and its column at least y.j, and shifts only move bits
-up, so bits beyond the window never come back into it, and members with
-j > window are dropped.
+Masks keep window + 1 bits: the product's row is x.j and its column at
+least y.j, and shifts only move bits up, so bits beyond the window never
+come back into it, and members with j > window are dropped.
 """
 
 from __future__ import annotations
@@ -38,20 +39,17 @@ def cover_grid(rows: Sequence[int], window: int) -> list[int]:
     """
     size = window + 1
     full = (1 << size) - 1
-    rows = [row & full for row in rows]
     out = [0] * size
-    least: dict[int, int] = {}
-    shifted = 0
-    for r, row in enumerate(rows):
+    below = 0
+    for row in rows:
+        row &= full
+        below |= row
         for c in _set_bits(row):
-            least.setdefault(c - r, r)
-            # r < a: the rows below r land shifted in row c.
-            out[c] |= shifted
-        shifted = ((shifted | row) << 1) & full
+            out[c] |= below
+        below = (below << 1) & full
 
-    # r >= a: row r lands in row r + offset, which must stay in the window.
-    last_row = len(rows) - 1
-    for offset, a in least.items():
-        for r in range(a, min(last_row, window - offset) + 1):
-            out[r + offset] |= rows[r]
-    return out
+    # format() writes column 0 last, so reading its strings across gives
+    # the columns from the last one down, each with row 0 first
+    columns = zip(*(format(row, f"0{size}b") for row in out))
+    mirror = [int("".join(bits)[::-1], 2) for bits in columns][::-1]
+    return [row | col for row, col in zip(out, mirror)]

@@ -62,6 +62,9 @@ def engine_cells(xi, xj, window):
     rows = _cover.cover_grid(members, window)
     assert len(rows) == window + 1
     assert all(0 <= row < 1 << (window + 1) for row in rows)
+    # inverse(inverse(x) * y) = inverse(y) * x, so the grid is symmetric
+    size = range(window + 1)
+    assert all(rows[i] >> j & 1 == rows[j] >> i & 1 for i in size for j in size)
     return {(qi, qj) for qi, row in enumerate(rows) for qj in range(window + 1) if row >> qj & 1}
 
 
@@ -135,7 +138,8 @@ def test_engine_matches_pair_loop():
     # fixed cases: the empty set, window 0, and column 0 of a lower spec,
     # whose rows run far past the window yet reach it, since x = (a, 0)
     # and y = (r, 0) with r >= a give (r - a, 0); the random sets add
-    # more rows past the window and members with j < i
+    # more rows past the window and members with j < i, and the last ones
+    # windows past 64 columns with members up to row and column 150
     cases = [
         ([], [], 0),
         ([], [], 5),
@@ -150,6 +154,11 @@ def test_engine_matches_pair_loop():
         xi = [rng.randint(0, top) for _ in range(n)]
         xj = [rng.randint(0, top) for _ in range(n)]
         cases.append((xi, xj, rng.randint(0, 16)))
+    for _ in range(30):
+        n = rng.randint(1, 150)
+        xi = [rng.randint(0, 150) for _ in range(n)]
+        xj = [rng.randint(0, 150) for _ in range(n)]
+        cases.append((xi, xj, rng.randint(40, 100)))
     for xi, xj, window in cases:
         assert engine_cells(xi, xj, window) == pair_loop_grid(xi, xj, window), (xi, xj, window)
 
