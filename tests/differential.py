@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import tempfile
@@ -29,18 +28,12 @@ from pathlib import Path
 SHOWN = 10
 
 
-def _texts(seed: int, count: int) -> dict[str, str]:
-    from test_cli_transcripts import CORPUS_DIR, random_spec_text, row0_prefix_text
-
-    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS_DIR.glob("*.spec"))}
-    rng = random.Random(seed)
-    for n in range(count):
-        texts[f"random{n:04d}"] = row0_prefix_text(rng) if n % 5 == 0 else random_spec_text(rng)
-    return texts
-
-
 def _worker(seed: int, count: int) -> None:
-    """Print the loaded package's path, then one JSON line per run."""
+    """Print the loaded package's path, then one JSON line per run.
+
+    The package and the test modules that import it are imported here,
+    as only a worker has a tree on its import path.
+    """
     import bicyclic
     import test_cli_transcripts
     import test_large_windows
@@ -50,7 +43,7 @@ def _worker(seed: int, count: int) -> None:
     argvs = list(test_cli_transcripts.ARGVS) + list(test_large_windows.ARGVS)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.spec"
-        for name, text in _texts(seed, count).items():
+        for name, text in test_cli_transcripts.spec_texts(seed, count).items():
             path.write_text(text, encoding="utf-8")
             for argv in argvs:
                 code, out, err = test_large_windows.run(argv, path)
@@ -59,13 +52,13 @@ def _worker(seed: int, count: int) -> None:
 
 def _start(src: Path, seed: int, count: int, out) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, __file__, "--worker", "--seed", str(seed), "--count", str(count), str(src)]
+    argv = [sys.executable, __file__, "--worker", "--seed", str(seed), "--count", str(count)]
     return subprocess.Popen(argv, env=env, stdout=out, text=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Compare CLI runs between two source trees.")
-    parser.add_argument("trees", nargs="+", type=Path, metavar="SRC", help="OLD_SRC NEW_SRC")
+    parser.add_argument("trees", nargs="*", type=Path, metavar="SRC", help="OLD_SRC NEW_SRC")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)

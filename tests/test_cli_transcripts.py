@@ -127,10 +127,10 @@ def row0_prefix_text(rng) -> str:
     return f"form=twosided-i\nq=0 p={size} d={d} I=0 P=0\nFD={fd}\nF={_elements((0, j) for j in cols)}\n"
 
 
-def spec_texts() -> dict[str, str]:
+def spec_texts(seed: int = RANDOM_SEED, count: int = RANDOM_SPECS) -> dict[str, str]:
     texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS_DIR.glob("*.spec"))}
-    rng = random.Random(RANDOM_SEED)
-    for n in range(RANDOM_SPECS):
+    rng = random.Random(seed)
+    for n in range(count):
         texts[f"random{n:03d}"] = row0_prefix_text(rng) if n % 5 == 0 else random_spec_text(rng)
     return texts
 
