@@ -17,6 +17,10 @@ under inverse: inverse(inverse(x) * y) = inverse(y) * x, and (y, x) is
 a pair of the first kind, so the walk marks its cell and (x, y)'s cell
 is that cell's mirror.  The grid is the walk's grid ORed with its
 transpose; the window is a square, so a mirrored cell stays inside it.
+The transpose is `subsemigroups._transpose`, the one the member grids of
+the reflected forms use: it walks the marked cells when few are set, as
+on sparse specs, and reads the grid across as bit strings otherwise, so
+the mirror costs the smaller of the cells marked and the window's area.
 
 Masks keep window + 1 bits: the product's row is x.j and its column at
 least y.j, and shifts only move bits up, so bits beyond the window never
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .subsemigroups import _set_bits
+from .subsemigroups import _set_bits, _transpose
 
 
 def cover_grid(rows: Sequence[int], window: int) -> list[int]:
@@ -48,8 +52,4 @@ def cover_grid(rows: Sequence[int], window: int) -> list[int]:
             out[c] |= below
         below = (below << 1) & full
 
-    # format() writes column 0 last, so reading its strings across gives
-    # the columns from the last one down, each with row 0 first
-    columns = zip(*(format(row, f"0{size}b") for row in out))
-    mirror = [int("".join(bits)[::-1], 2) for bits in columns][::-1]
-    return [row | col for row, col in zip(out, mirror)]
+    return [row | col for row, col in zip(out, _transpose(out, size))]

@@ -25,6 +25,7 @@ from .elements import Element
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import (
     ClosureFailure,
+    Diagonal,
     Lower,
     SubsemigroupSpec,
     TwoSidedI,
@@ -33,6 +34,7 @@ from .subsemigroups import (
     _check_limit,
     _check_window,
     _grid,
+    _last_start,
     closure_falsify,
     require_valid,
 )
@@ -82,11 +84,30 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
     """Default member window for the pair enumeration.
 
     Follows the coordinate growth of the witness formulas, with slack:
-    3 * (2 * window + p + m_default + 4).
+    3 * (2 * window + p + m_default + 4), raised for the reflected forms
+    to L + d + window, where L is the largest finite row or progression
+    start over the columns 0 .. window.
+
+    Why that covers every product in the window: for x = (a, c) and
+    y = (r, n), inverse(x) * y = (c - a + t, n - r + t) with
+    t = max(a, r), so a product in the window has c, n <= window and
+    |a - r| <= window.  Above L every column 0 .. window repeats with
+    period d, so a pair whose lower row is above L + d moves down by d
+    to a pair of members with the same product; the pairs with both rows
+    at most L + d + window therefore reach every product there is.
+
+    Upper and diagonal specs need no more than the window: every member
+    lies on or above the diagonal, so a member of a column c <= window
+    lies in a row <= c, and the formula is at least window.  Two-sided
+    (i) keeps the formula alone: its square rows can move down by d
+    together, but that is not yet a proof.
     """
     p = spec.p if isinstance(spec, (TwoSidedI, TwoSidedII)) else 0
     m_default = spec.rows.m_default if isinstance(spec, (Upper, Lower)) else 0
-    return 3 * (2 * window + p + m_default + 4)
+    bound = 3 * (2 * window + p + m_default + 4)
+    if spec.reflected:
+        bound = max(bound, _last_start(spec, window + 1) + spec.step + window)
+    return bound
 
 
 def coverage(
@@ -100,8 +121,14 @@ def coverage(
     # no lower check: a negative pair bound scans no members
     _check_limit("pair bound", pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
-    # >= y.j, so only members with j <= window can contribute.
-    members = _grid(spec, pair_bound + 1, min(window, pair_bound) + 1)
+    # >= y.j, so only members with j <= window can contribute.  Upper and
+    # diagonal members lie on or above the diagonal (a progression starts
+    # at max(m, i) >= i, a row's extras have j >= row, FD points and
+    # diagonal elements have i = j), so their rows past the window hold
+    # none of those; the other forms reach below the diagonal.
+    cols = min(window, pair_bound) + 1
+    rows = cols if isinstance(spec, (Upper, Diagonal)) else pair_bound + 1
+    members = _grid(spec, rows, cols)
     return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
 
 

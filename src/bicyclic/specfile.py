@@ -20,10 +20,12 @@ inconsistent parameters is rejected too.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional
 
 from .elements import Element
 from .subsemigroups import (
+    VALIDATE_CACHE_SIZE,
     Diagonal,
     DiagonalTail,
     IndexSet,
@@ -144,8 +146,14 @@ def _parse_row_line(tokens: list[tuple[str, str]], line_no: int) -> RowOverride:
     return RowOverride(row, m, extra)
 
 
+@lru_cache(maxsize=VALIDATE_CACHE_SIZE)
 def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
-    """Parse without running validation (the CLI classify path needs that)."""
+    """Parse without running validation (the CLI classify path needs that).
+
+    Specs are immutable, so each text is parsed once per process and the
+    same spec comes back for it; a text with a syntax error raises every
+    time, as exceptions are not cached.
+    """
     values: dict[str, str] = {}
     value_lines: dict[str, int] = {}
     rows: list[RowOverride] = []

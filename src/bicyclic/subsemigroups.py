@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterator, Optional, Union
+from typing import ClassVar, Iterator, Optional, Sequence, Union
 
 from .elements import Element, hat, multiply
 
@@ -65,6 +65,10 @@ WINDOW_LIMIT = 500
 
 # Distinct specs whose validation reports are kept.
 VALIDATE_CACHE_SIZE = 1024
+
+# `_transpose` walks the set bits of a grid with fewer than one cell in
+# this many set, and reads the others across as strings.
+_SPARSE = 16
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,15 @@ def _finite_bits(columns: dict[int, list[int]], i: int, lo: int, width: int) -> 
     return bits
 
 
+def _row_bits(spec: _RowFamily | _TwoSided, i: int, lo: int, width: int) -> int:
+    """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
+    bits = _finite_bits(spec._finite_columns, i, lo, width)
+    start = spec._start(i)
+    if start is not None:
+        bits |= _progression(start, spec.step, lo, width)
+    return bits
+
+
 @dataclass(frozen=True)
 class Diagonal:
     """A subset of the diagonal: finitely many idempotents plus an optional tail."""
@@ -232,13 +245,14 @@ class _RowFamily:
         # validation keeps each override's extras on its own row, inside I
         return _columns_by_row(self.diagonal_part, *(ov.extra for ov in self.rows.overrides))
 
-    def row_bits(self, i: int, lo: int, width: int) -> int:
-        """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
-        bits = _finite_bits(self._finite_columns, i, lo, width)
-        if i in self.row_indices:
-            t = self.rows.threshold(i)
-            bits |= _progression(t + (i - t) % self.step, self.step, lo, width)
-        return bits
+    def _start(self, i: int) -> Optional[int]:
+        """First column of row i's progression in the upper orientation, if any."""
+        if i not in self.row_indices:
+            return None
+        t = self.rows.threshold(i)
+        return t + (i - t) % self.step
+
+    row_bits = _row_bits
 
 
 class Upper(_RowFamily):
@@ -279,16 +293,19 @@ class _TwoSided:
     def _finite_columns(self) -> dict[int, list[int]]:
         return _columns_by_row(self.diagonal_part, self.triangle_part)
 
-    def row_bits(self, i: int, lo: int, width: int) -> int:
-        """Column bits lo .. lo + width - 1 of row i in the upper orientation."""
-        bits = _finite_bits(self._finite_columns, i, lo, width)
-        if i in self.row_indices:
-            bits |= _progression(self.p + (i - self.p) % self.step, self.step, lo, width)
-        # validation keeps P below d, so only one offset can hold row i
+    def _start(self, i: int) -> Optional[int]:
+        """First column of row i's progression in the upper orientation, if any.
+
+        A row of I and a row of the square both start at p + r with
+        r = (i - p) % d: validation keeps P below d, so only one offset
+        can hold row i, and I below p, so no row has both.
+        """
         r = (i - self.p) % self.step
-        if r in self.offsets and i >= self.p + r:
-            bits |= _progression(self.p + r, self.step, lo, width)
-        return bits
+        if i in self.row_indices or (r in self.offsets and i >= self.p + r):
+            return self.p + r
+        return None
+
+    row_bits = _row_bits
 
 
 class TwoSidedI(_TwoSided):
@@ -305,6 +322,20 @@ class TwoSidedII(_TwoSided):
 
 
 SubsemigroupSpec = Union[Diagonal, Upper, Lower, TwoSidedI, TwoSidedII]
+
+
+def _last_start(spec: _RowFamily | _TwoSided, rows: int) -> int:
+    """The largest finite column or progression start of rows 0 .. rows-1, or 0.
+
+    Read in the upper orientation: past it, each of those rows repeats
+    with period `spec.step`.
+    """
+    last = 0
+    for i in range(rows):
+        finite = spec._finite_columns.get(i)
+        start = spec._start(i)
+        last = max(last, finite[-1] if finite else 0, 0 if start is None else start)
+    return last
 
 
 @dataclass(frozen=True)
@@ -482,16 +513,37 @@ def _contains(spec: SubsemigroupSpec, x: Element) -> bool:
     return spec.row_bits(x.i, x.j, 1) == 1
 
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The grid read by columns: bit i of entry j is bit j of rows[i].
+
+    Each of the rows holds `width` bits; the result holds `width` masks
+    of len(rows) bits.  A sparse grid is walked by its set bits, which
+    costs the cells set; any other is read across as bit strings, which
+    costs the area but runs at C speed per row.
+    """
+    out = [0] * max(width, 0)
+    # format(0, "00b") is "0", one column too many, so no strings here
+    if not rows or width <= 0:
+        return out
+    cells = sum(row.bit_count() for row in rows)
+    if cells * _SPARSE < len(rows) * width:
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for j in _set_bits(row):
+                out[j] |= bit
+        return out
+    # format() writes column 0 last, so reading its strings across gives
+    # the columns from the last one down, each with row 0 first
+    columns = zip(*(format(row, f"0{width}b") for row in rows))
+    return [int("".join(bits)[::-1], 2) for bits in columns][::-1]
+
+
 def _grid(spec: SubsemigroupSpec, rows: int, cols: int) -> list[int]:
     """Column masks of rows 0 .. rows-1, over columns 0 .. cols-1."""
     if not spec.reflected:
         return [spec.row_bits(i, 0, cols) for i in range(rows)]
     # A reflected grid is the transposed grid of the upper orientation.
-    grid = [0] * max(rows, 0)
-    for j in range(cols):
-        for i in _set_bits(spec.row_bits(j, 0, rows)):
-            grid[i] |= 1 << j
-    return grid
+    return _transpose([spec.row_bits(j, 0, rows) for j in range(cols)], rows)
 
 
 def contains(spec: SubsemigroupSpec, x: Element) -> bool:

@@ -182,6 +182,20 @@ def test_coverage_pairs_override(capsys):
     assert "pair_bound=3" in capsys.readouterr().out
 
 
+def test_lower_spec_with_a_far_row_is_refused_not_refuted(tmp_path, capsys):
+    # the reflection of an upper spec whose row 0 starts at column 1000:
+    # a yes spec whose window cells need factors in rows up to 1004
+    path = tmp_path / "lower_far_row0.spec"
+    path.write_text("form=lower\nd=1\nN=0\nI0=\nR=0\ndefault_m=0\nrow=0 m=1000\n")
+    assert main(["decide", str(path)]) == 0
+    capsys.readouterr()
+    for command in ("coverage", "crosscheck"):
+        assert main([command, str(path), "--window", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error=pair bound 1004 exceeds the limit 500\n"
+
+
 def _coverage_outcome(path, window, pairs):
     """(exit code, stdout) of `coverage`, spelled from the report's Elements."""
     report = coverage(parse_spec(path.read_text(encoding="utf-8")), window, pairs)

@@ -17,13 +17,19 @@ from bicyclic import (
     multiply,
     render_window,
 )
+from bicyclic import RowOverride, hat_spec, validate
 from bicyclic import _cover
+from bicyclic.cli import _gap_lines
+from bicyclic.subsemigroups import WINDOW_LIMIT, _grid
 import membership_oracle as oracle
+from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
 
 fs = frozenset
 
 R1 = Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0))
 B_PLUS = Upper(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(0))
+# the reflection of an upper spec whose row 0 starts at column 1000
+FAR_ROW0 = Lower(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(0, (RowOverride(0, 1000),)))
 
 
 def brute_force_covered(spec, window, pair_bound):
@@ -132,6 +138,51 @@ def test_default_pair_bound_formula():
     assert default_pair_bound(ts, 10) == 3 * (2 * 10 + 2 + 0 + 4)
     t2 = Upper(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(2))
     assert default_pair_bound(t2, 10) == 3 * (2 * 10 + 0 + 2 + 4)
+    # reflected forms: at least L + d + window, L the last start in columns 0 .. window
+    assert default_pair_bound(hat_spec(t2), 10) == 3 * (2 * 10 + 0 + 2 + 4)
+    assert default_pair_bound(FAR_ROW0, 3) == 1000 + 1 + 3
+    assert default_pair_bound(TwoSidedII(0, 2, 100, fs({0, 1}), fs({0})), 10) == 2 + 99 + 100 + 10
+
+
+def far_scan(spec, window, bound):
+    """Coverage with members up to `bound`, past the limit: the engine on the grid itself."""
+    return tuple(_cover.cover_grid(_grid(spec, bound + 1, window + 1), window))
+
+
+def test_default_pair_bound_reaches_every_product():
+    # lower specs with an override m above the formula's bound, and
+    # two-sided (ii) specs with d up to 160, against a scan far past the
+    # bound; a scan at the formula alone misses some of their cells
+    rng = random.Random(53)
+    specs = []
+    while len(specs) < 160:
+        window = rng.randint(0, 10)
+        if len(specs) % 2:
+            q = rng.randint(0, 3)
+            p = rng.randint(q + 1, q + 5)
+            d = rng.randint(1, 160)
+            rows = fs({q}) | subset(range(q, p), rng, p - q)
+            offsets = fs({0}) | subset(range(d), rng)
+            spec = TwoSidedII(q, p, d, rows, offsets, subset([Element(k, k) for k in range(q + 1)], rng, 2))
+            formula = 3 * (2 * window + p + 4)
+        else:
+            d = rng.choice([1, 2, 3, 7])
+            m_default = rng.randint(0, 4)
+            idx = IndexSet(fs(), fs({0}) | subset(range(d), rng), 0, d)
+            row = rng.choice([k for k in range(window + 1) if k in idx])
+            formula = 3 * (2 * window + m_default + 4)
+            extras = subset([Element(row, row + d * u) for u in range(4)], rng)
+            overrides = (RowOverride(row, rng.randint(formula + 1, 400), extras),)
+            spec = Lower(fs(), idx, RowData(m_default, overrides))
+        if validate(spec).ok and default_pair_bound(spec, window) <= WINDOW_LIMIT:
+            specs.append((spec, window, formula))
+    missed = 0
+    for spec, window, formula in specs:
+        report = coverage(spec, window)
+        far = 2 * report.pair_bound + 2 * spec.step
+        assert report.rows == far_scan(spec, window, far), (spec, window)
+        missed += far_scan(spec, window, formula) != report.rows
+    assert missed > 40
 
 
 def test_engine_matches_pair_loop():
@@ -161,6 +212,25 @@ def test_engine_matches_pair_loop():
         cases.append((xi, xj, rng.randint(40, 100)))
     for xi, xj, window in cases:
         assert engine_cells(xi, xj, window) == pair_loop_grid(xi, xj, window), (xi, xj, window)
+    # the member scan hands the engine no upper or diagonal row past the
+    # window, whose members all lie beyond it, and the rows come out as
+    # with the full scan, for pair bounds below, at and above the window;
+    # the CLI's gap lines spell the report's gap cells
+    rng = random.Random(59)
+    trimmed = 0
+    while trimmed < 300:
+        spec = (random_diagonal, random_row_family, random_two_sided)[trimmed % 3](rng)
+        if spec is None or not validate(spec).ok:
+            continue
+        trimmed += 1
+        window = rng.randint(0, 20)
+        for pairs in (rng.randint(-1, window), window, rng.randint(window, 3 * window + 5), None):
+            report = coverage(spec, window, pairs)
+            bound = report.pair_bound
+            full = _cover.cover_grid(_grid(spec, bound + 1, min(window, bound) + 1), window)
+            assert report.rows == tuple(full), (spec, window, pairs)
+            text = "".join(f"gap=({i},{j})\n" for i, j in report.gap_cells())
+            assert _gap_lines(report) == text
 
 
 class TestCrossValidate:

@@ -39,7 +39,8 @@ from bicyclic import (
     verify_witness,
 )
 from bicyclic.cli import main
-from bicyclic.subsemigroups import VALIDATE_CACHE_SIZE, WINDOW_LIMIT, _grid
+from bicyclic.specfile import SpecSyntaxError, parse_spec_unchecked
+from bicyclic.subsemigroups import VALIDATE_CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _grid, _set_bits, _transpose
 from golden import CORPUS_DIR
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
 
@@ -144,6 +145,43 @@ def test_grids_equal_the_oracle(corpus_specs):
             below_diagonal += any(e.j < e.i for e in expected)
         assert _grid(spec, 0, 5) == [] and _grid(spec, 3, 0) == [0, 0, 0]
     assert below_diagonal > 200
+
+
+def walked_transpose(rows, width):
+    """The bit walk `_grid` used for reflected forms before `_transpose`."""
+    out = [0] * max(width, 0)
+    for i, row in enumerate(rows):
+        for j in _set_bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def zipped_transpose(rows, width):
+    """The string zip of the coverage engine's mirror before `_transpose`."""
+    columns = zip(*(format(row, f"0{width}b") for row in rows))
+    return [int("".join(bits)[::-1], 2) for bits in columns][::-1]
+
+
+def test_transpose_equals_both_earlier_methods():
+    rng = random.Random(23)
+    grids = [([], 0), ([], 4), ([0, 0, 0], 0), ([0] * 5, 7), ([0b1], 1), ([0b101, 0b010], 3)]
+    for _ in range(400):
+        height, width = rng.randint(1, 70), rng.randint(1, 70)
+        if rng.random() < 0.3:
+            width = height
+        # one cell in `spread` set: either side of the cut, and on it
+        spread = rng.choice([1, 2, 4, _SPARSE // 2, _SPARSE, 2 * _SPARSE, 8 * _SPARSE])
+        rows = [sum(1 << j for j in range(width) if rng.randrange(spread) == 0) for _ in range(height)]
+        grids.append((rows, width))
+    sparse = 0
+    for rows, width in grids:
+        out = _transpose(rows, width)
+        assert out == walked_transpose(rows, width), (rows, width)
+        if rows and width:
+            assert out == zipped_transpose(rows, width), (rows, width)
+            sparse += sum(row.bit_count() for row in rows) * _SPARSE < len(rows) * width
+        assert _transpose(out, len(rows)) == rows
+    assert 100 < sparse < len(grids) - 100
 
 
 def test_scalar_membership_far_out_equals_the_oracle(corpus_specs):
@@ -358,10 +396,21 @@ def test_render_reads_each_override_once():
 
 
 def test_validate_cache_is_bounded():
+    # the parse cache too, which hands back one spec per text
     validate.cache_clear()
-    for k in range(VALIDATE_CACHE_SIZE + 50):
-        validate(Diagonal(fs({Element(k, k)})))
+    parse_spec_unchecked.cache_clear()
+    texts = [f"form=diagonal\nelements=({k},{k})\n" for k in range(VALIDATE_CACHE_SIZE + 50)]
+    for text in texts:
+        validate(parse_spec_unchecked(text))
     assert validate.cache_info().currsize == VALIDATE_CACHE_SIZE
+    assert parse_spec_unchecked.cache_info().currsize == VALIDATE_CACHE_SIZE
+    last = texts[-1]
+    assert parse_spec_unchecked(last) is parse_spec_unchecked(last)
+    assert parse_spec(last) is parse_spec_unchecked(last)
+    # exceptions are not cached: a bad text raises on every call
+    for _ in range(2):
+        with pytest.raises(SpecSyntaxError):
+            parse_spec_unchecked("form=diagonal\nelements=(0,0\n")
 
 
 R1 = Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0))
