@@ -487,9 +487,17 @@ def require_valid(spec: SubsemigroupSpec) -> None:
 
 
 def _check_limit(name: str, value: int) -> None:
-    """Refuse window-sized work beyond WINDOW_LIMIT, before any of it is built."""
+    """Refuse window-sized work beyond WINDOW_LIMIT, before any of it is built.
+
+    The message names the refused value, unless it has more digits than
+    the interpreter converts to a string.
+    """
     if value > WINDOW_LIMIT:
-        raise ValueError(f"{name} {value} exceeds the limit {WINDOW_LIMIT}")
+        try:
+            shown = f"{name} {value}"
+        except ValueError:
+            shown = name
+        raise ValueError(f"{shown} exceeds the limit {WINDOW_LIMIT}")
 
 
 def _check_window(window: int) -> None:

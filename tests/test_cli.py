@@ -196,6 +196,25 @@ def test_lower_spec_with_a_far_row_is_refused_not_refuted(tmp_path, capsys):
         assert captured.err == "error=pair bound 1004 exceeds the limit 500\n"
 
 
+@pytest.mark.parametrize("form", ("upper", "lower"))
+def test_pair_bound_beyond_the_int_string_limit_is_refused(form, tmp_path, capsys):
+    # m has as many digits as int() accepts, so the default pair bound
+    # 3 * (2w + p + m + 4) has one digit more than str() gives back
+    nines = "9" * sys.get_int_max_str_digits()
+    if form == "upper":
+        text = (CORPUS_DIR / "upper_row0_from3.spec").read_text(encoding="utf-8")
+        text = text.replace("default_m=3", f"default_m={nines}")
+    else:
+        text = f"form=lower\nd=1\nN=0\nI0=\nR=0\ndefault_m=0\nrow=0 m={nines}\n"
+    path = tmp_path / f"{form}_huge_m.spec"
+    path.write_text(text, encoding="utf-8")
+    for command in ("coverage", "crosscheck"):
+        assert main([command, str(path), "--window", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error=pair bound exceeds the limit 500\n"
+
+
 def _coverage_outcome(path, window, pairs):
     """(exit code, stdout) of `coverage`, spelled from the report's Elements."""
     report = coverage(parse_spec(path.read_text(encoding="utf-8")), window, pairs)
