@@ -486,24 +486,25 @@ def require_valid(spec: SubsemigroupSpec) -> None:
         raise InvalidSpecError(report)
 
 
-def _check_limit(name: str, value: int) -> None:
-    """Refuse window-sized work beyond WINDOW_LIMIT, before any of it is built.
+def _shown(before: str, value: int) -> str:
+    """`before` and the refused value, for a message; "" when the value has
+    more digits than the interpreter converts to a string."""
+    try:
+        return f"{before}{value}"
+    except ValueError:
+        return ""
 
-    The message names the refused value, unless it has more digits than
-    the interpreter converts to a string.
-    """
+
+def _check_limit(name: str, value: int) -> None:
+    """Refuse window-sized work beyond WINDOW_LIMIT, before any of it is built."""
     if value > WINDOW_LIMIT:
-        try:
-            shown = f"{name} {value}"
-        except ValueError:
-            shown = name
-        raise ValueError(f"{shown} exceeds the limit {WINDOW_LIMIT}")
+        raise ValueError(f"{name}{_shown(' ', value)} exceeds the limit {WINDOW_LIMIT}")
 
 
 def _check_window(window: int) -> None:
     """Refuse a negative window, or one beyond WINDOW_LIMIT."""
     if window < 0:
-        raise ValueError(f"window must be nonnegative, got {window}")
+        raise ValueError(f"window must be nonnegative{_shown(', got ', window)}")
     _check_limit("window", window)
 
 

@@ -7,11 +7,9 @@ runs of `test_large_windows.ARGVS`, on each corpus file and on N specs
 drawn with seed S from `test_cli_transcripts`' generators (one in five
 fills row 0 by finite parts), once against each tree.  Each tree runs in
 its own subprocess, with only its `src` on the import path.  Exit code,
-stdout and stderr are compared run by run.  One more record, where each
-public name of the package resolves, is compared like a run, so a lost,
-leaked or rerouted export counts as a difference.  The script prints
-`runs=` and `differences=`, then one `diff=` line per differing run, the
-first ten, and exits 1 on any difference.
+stdout and stderr are compared run by run; the script prints `runs=` and
+`differences=`, then one `diff=` line per differing run, the first ten,
+and exits 1 on any difference.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -25,35 +23,13 @@ import os
 import subprocess
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 SHOWN = 10
 
 
-def _exports(package: types.ModuleType) -> dict[str, str]:
-    """Where each public non-module name of the package resolves.
-
-    A class or function is named by its module and qualified name; any
-    other value (`IDENTITY`, the `SubsemigroupSpec` union) by its repr.
-    """
-    where = {}
-    for name in dir(package):
-        if name.startswith("_"):
-            continue
-        value = getattr(package, name)
-        if isinstance(value, types.ModuleType):
-            continue
-        qualname = getattr(value, "__qualname__", None)
-        if qualname is not None and value.__module__.startswith(f"{package.__name__}."):
-            where[name] = f"{value.__module__}.{qualname}"
-        else:
-            where[name] = repr(value)
-    return where
-
-
 def _worker(seed: int, count: int) -> None:
-    """Print the loaded package's path, its exports, then one JSON line per run.
+    """Print the loaded package's path, then one JSON line per run.
 
     The package and the test modules that import it are imported here,
     as only a worker has a tree on its import path.
@@ -64,7 +40,6 @@ def _worker(seed: int, count: int) -> None:
 
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     print(Path(bicyclic.__file__).resolve())
-    print(json.dumps(["package", "exports", _exports(bicyclic)]))
     argvs = list(test_cli_transcripts.ARGVS) + list(test_large_windows.ARGVS)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.spec"

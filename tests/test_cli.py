@@ -10,6 +10,11 @@ from bicyclic.cli import main
 from bicyclic.coverage import CoverageReport
 from golden import CORPUS_DIR, VALID_ENTRIES
 
+# the interpreter's int-to-string digit limit; 0 where there is none
+# (PYTHONINTMAXSTRDIGITS=0, or Python before 3.10.7)
+INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_str_limit = pytest.mark.skipif(INT_STR_DIGITS == 0, reason="no int-to-string digit limit")
+
 
 def corpus(name):
     return str(CORPUS_DIR / f"{name}.spec")
@@ -55,19 +60,21 @@ def test_non_ascii_digits_in_elements_are_errors(argv, bad, capsys):
     assert captured.err == f"error=expected an element of the form (i,j), got {bad!r}\n"
 
 
+@needs_int_str_limit
 def test_element_arguments_beyond_the_int_string_limit(capsys):
-    digits = sys.get_int_max_str_digits() + 700
+    digits = INT_STR_DIGITS + 700
     assert main(["inv", f"({'1' * digits},1)"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error=element coordinate has too many digits ({digits})\n"
 
 
+@needs_int_str_limit
 @pytest.mark.parametrize("command", ("mul", "witness"))
 def test_results_beyond_the_int_string_limit(command, capsys):
     # N has as many digits as int() accepts: (N,0)(N,0) = (2N,0), and the
     # lower witness of (N,5) lifts into row 2N+5; both have one digit more
-    nines = "9" * sys.get_int_max_str_digits()
+    nines = "9" * INT_STR_DIGITS
     if command == "mul":
         argv = ["mul", f"({nines},0)", f"({nines},0)"]
     else:
@@ -196,11 +203,12 @@ def test_lower_spec_with_a_far_row_is_refused_not_refuted(tmp_path, capsys):
         assert captured.err == "error=pair bound 1004 exceeds the limit 500\n"
 
 
+@needs_int_str_limit
 @pytest.mark.parametrize("form", ("upper", "lower"))
 def test_pair_bound_beyond_the_int_string_limit_is_refused(form, tmp_path, capsys):
     # m has as many digits as int() accepts, so the default pair bound
     # 3 * (2w + p + m + 4) has one digit more than str() gives back
-    nines = "9" * sys.get_int_max_str_digits()
+    nines = "9" * INT_STR_DIGITS
     if form == "upper":
         text = (CORPUS_DIR / "upper_row0_from3.spec").read_text(encoding="utf-8")
         text = text.replace("default_m=3", f"default_m={nines}")

@@ -42,6 +42,7 @@ from bicyclic.cli import main
 from bicyclic.specfile import SpecSyntaxError, parse_spec_unchecked
 from bicyclic.subsemigroups import VALIDATE_CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _grid, _set_bits, _transpose
 from golden import CORPUS_DIR
+from test_cli import INT_STR_DIGITS, needs_int_str_limit
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
 
 fs = frozenset
@@ -439,6 +440,19 @@ def test_window_sized_work_is_refused_beyond_the_limit(call):
 def test_negative_windows_are_refused(call):
     with pytest.raises(ValueError, match="window must be nonnegative, got -3"):
         call(R1, -3)
+
+
+@needs_int_str_limit
+@pytest.mark.parametrize("call", [render_window, coverage, closure_falsify, cross_validate])
+def test_windows_beyond_the_int_string_limit_are_refused(call):
+    # one digit more than str() converts: the message leaves the value out
+    beyond = 10**INT_STR_DIGITS
+    with pytest.raises(ValueError) as refused:
+        call(R1, -beyond)
+    assert str(refused.value) == "window must be nonnegative"
+    with pytest.raises(ValueError) as refused:
+        call(R1, beyond)
+    assert str(refused.value) == f"window exceeds the limit {WINDOW_LIMIT}"
 
 
 def test_limit_itself_is_accepted():
