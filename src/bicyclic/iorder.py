@@ -139,34 +139,32 @@ def _decide_upper(spec: Upper) -> _Verdict:
     return conditions, Certificate(failed, Element(0, gap), REASON_ROW0_GAP)
 
 
-def _empty_column(spec: Lower | TwoSidedII, failed: str, bound: int) -> Certificate:
-    """The certificate for a failed column condition of a reflected form.
+def _decide_columns(spec: Lower | TwoSidedII, name: str, holds: bool, bound: int) -> _Verdict:
+    """The verdict of a reflected form on its column condition `name`.
 
-    A column k of S is empty when row k of the upper orientation is: k is
-    outside I and no finite part has a member on row k.  Its idempotent
-    (k, k) is then unreachable.  The scan takes the least such k below
-    `bound`; each k it passes is in I or holds a finite member, so it
-    ends within the spec's data however large the bound.
+    `holds` says whether every column of S is present.  A column k of S
+    is empty when row k of the upper orientation is: it has no
+    progression start and no finite member.  Its idempotent (k, k) is
+    then unreachable.  The scan takes the least such k below `bound`;
+    each k it passes has a start or a finite member, so it ends within
+    the spec's data however large the bound.
     """
+    conditions = (Condition("d-is-1", spec.step == 1), Condition(name, holds))
+    if spec.step != 1:
+        return conditions, _PARITY
+    if holds:
+        return conditions, None
     for k in range(bound):
-        if k not in spec.row_indices and k not in spec._finite_columns:
-            return Certificate(failed, Element(k, k), REASON_EMPTY_L_CLASS)
-    return Certificate(failed)
+        if spec._start(k) is None and k not in spec._finite_columns:
+            return conditions, Certificate(name, Element(k, k), REASON_EMPTY_L_CLASS)
+    return conditions, Certificate(name)
 
 
 def _decide_lower(spec: Lower) -> _Verdict:
-    conditions = (
-        Condition("d-is-1", spec.step == 1),
-        Condition("all-columns-present", spec.row_indices.is_full()),
-    )
-    if spec.step != 1:
-        return conditions, _PARITY
-    if conditions[1].holds:
-        return conditions, None
     # With d = 1, I holds every column from N on when R = {0}, and column
     # N, above FD's strip, is missing when R is empty, so the columns
     # 0 .. N hold the least empty one.
-    return conditions, _empty_column(spec, "all-columns-present", spec.row_indices.start + 1)
+    return _decide_columns(spec, "all-columns-present", spec.row_indices.is_full(), spec.row_indices.start + 1)
 
 
 def _decide_twosided_i(spec: TwoSidedI) -> _Verdict:
@@ -185,16 +183,10 @@ def _decide_twosided_i(spec: TwoSidedI) -> _Verdict:
 
 def _decide_twosided_ii(spec: TwoSidedII) -> _Verdict:
     # Validation keeps I within {q, ..., p-1}, so I is all of {0, ..., p-1}
-    # exactly when q = 0 and I has p members.
-    conditions = (
-        Condition("d-is-1", spec.step == 1),
-        Condition("columns-0-to-p-covered", spec.q == 0 and len(spec.row_indices) == spec.p),
-    )
-    if spec.step != 1:
-        return conditions, _PARITY
-    if conditions[1].holds:
-        return conditions, None
-    return conditions, _empty_column(spec, "columns-0-to-p-covered", spec.p)
+    # exactly when q = 0 and I has p members; the square's rows start at
+    # p, so the scan below p meets only rows of I.
+    covered = spec.q == 0 and len(spec.row_indices) == spec.p
+    return _decide_columns(spec, "columns-0-to-p-covered", covered, spec.p)
 
 
 _DECIDERS = {

@@ -65,7 +65,7 @@ class SpecValidationError(SpecError):
         super().__init__("; ".join(violations))
 
 
-_FORMS = ("diagonal", "upper", "lower", "twosided-i", "twosided-ii")
+_CLASSES = {cls.form: cls for cls in (Diagonal, Upper, Lower, TwoSidedI, TwoSidedII)}
 _KEYS_BY_FORM = {
     "diagonal": {"elements", "tail_N", "tail_d", "tail_r"},
     "upper": {"d", "N", "I0", "R", "FD", "default_m"},
@@ -177,8 +177,9 @@ def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
     if "form" not in values:
         raise SpecSyntaxError("missing form=<diagonal|upper|lower|twosided-i|twosided-ii>")
     form = values.pop("form")
-    if form not in _FORMS:
+    if form not in _CLASSES:
         raise SpecSyntaxError(f"unknown form {form!r}", value_lines["form"])
+    cls = _CLASSES[form]
     allowed = _KEYS_BY_FORM[form]
     for key in values:
         if key not in allowed:
@@ -216,11 +217,9 @@ def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
             overrides=tuple(rows),
         )
         diagonal_part = _parse_elements(values.get("FD", ""), "FD", value_lines.get("FD", 0))
-        cls = Upper if form == "upper" else Lower
         return cls(diagonal_part, index_set, row_data)
 
-    cls2 = TwoSidedI if form == "twosided-i" else TwoSidedII
-    return cls2(
+    return cls(
         q=intval("q"),
         p=intval("p"),
         step=intval("d"),

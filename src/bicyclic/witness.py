@@ -1,8 +1,8 @@
 """Constructive straight decompositions q = inverse(x) * y with x R y.
 
 Every left I-order in the bicyclic monoid is straight: each element q
-admits a decomposition whose two factors share an R-class.  The three
-schemes below are closed formulas, one per positive decision shape, so
+admits a decomposition whose two factors share an R-class.  The two
+schemes below are closed formulas read off the spec's rows, so
 `decompose` never searches.  `verify_witness` rechecks a witness from
 scratch, multiplying through both the coordinate formula and a max-plus
 matrix image of the monoid that shares no code with it.
@@ -22,20 +22,11 @@ from dataclasses import dataclass
 
 from .elements import Element, green, inverse, multiply
 from .iorder import Decision, decide_left_iorder
-from .subsemigroups import (
-    Lower,
-    SubsemigroupSpec,
-    TwoSidedI,
-    Upper,
-    contains,
-    require_valid,
-)
+from .subsemigroups import SubsemigroupSpec, contains, require_valid
 
 __all__ = ["Witness", "NotLeftIOrderError", "decompose", "verify_witness"]
 
 SCHEME_ROW0 = "row0"
-SCHEME_LOWER = "lower"
-SCHEME_TWOSIDED_II = "twosided-ii"
 
 _A = (1, 0, -1)
 _B = (-1, 0, 1)
@@ -68,23 +59,23 @@ def decompose(spec: SubsemigroupSpec, q: Element) -> Witness:
     """The canonical straight decomposition of q over the subsemigroup.
 
     Writing q = (m, n): upper forms and two-sided form (i) contain the
-    identity row and use x = (0, m), y = (0, n); lower forms lift into
-    the rows with x = (m+n+t, m), y = (m+n+t, n) where t is the larger of
-    the two column thresholds; two-sided form (ii) does the same with
-    t = p.  Refused (with the decision attached) when the verdict is no.
+    identity row and use x = (0, m), y = (0, n), scheme row0.  The
+    reflected forms, lower and two-sided (ii), lift into the rows with
+    x = (m+n+t, m), y = (m+n+t, n), where t is the larger of the
+    progression starts of rows m and n in the upper orientation (row
+    thresholds for lower, p for two-sided (ii)); the scheme is the form's
+    name.  A yes verdict leaves d = 1 and a progression on every row, so
+    both starts exist.  Refused (with the decision attached) when the
+    verdict is no.
     """
     decision = decide_left_iorder(spec)
     if not decision.verdict:
         raise NotLeftIOrderError(decision)
     m, n = q.i, q.j
-    if isinstance(spec, (Upper, TwoSidedI)):
+    if not spec.reflected:
         return Witness(q, Element(0, m), Element(0, n), SCHEME_ROW0)
-    if isinstance(spec, Lower):
-        t = max(spec.rows.threshold(m), spec.rows.threshold(n))
-        return Witness(q, Element(m + n + t, m), Element(m + n + t, n), SCHEME_LOWER)
-    # a yes verdict leaves two-sided (ii) as the last form
-    lift = spec.p + m + n
-    return Witness(q, Element(lift, m), Element(lift, n), SCHEME_TWOSIDED_II)
+    lift = m + n + max(spec._start(m), spec._start(n))
+    return Witness(q, Element(lift, m), Element(lift, n), spec.form)
 
 
 def _maxplus(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -98,10 +98,81 @@ def test_classify_invalid_is_refuted(capsys):
     assert "violation=q in I fails" in out
 
 
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        (
+            "form=diagonal\nelements=(0,0)\ntail_N=0 tail_d=0 tail_r=0\n",
+            ["form=diagonal", "valid=no", "violation=tail_d >= 1 fails: tail_d=0"],
+        ),
+        (
+            "form=upper\nd=1 N=1 I0=0 R=\nFD=(0,1)\n",
+            [
+                "form=upper",
+                "valid=no",
+                "note=FD bound read as the column strip: diagonal indices <= min(I)=0",
+                "violation=FD on the diagonal fails: (0,1) is off the diagonal",
+            ],
+        ),
+        (
+            "form=upper\nd=1 N=1 I0=0 R=\nrow=0 m=0\nrow=0 m=1\n",
+            ["form=upper", "valid=no", "violation=duplicate row override fails: row 0"],
+        ),
+        (
+            "form=twosided-i\nq=0 p=1 d=0 I=0 P=0\n",
+            ["form=twosided-i", "valid=no", "violation=d >= 1 fails: d=0"],
+        ),
+        (
+            "form=twosided-i\nq=3 p=1 d=1 I=3 P=0\n",
+            [
+                "form=twosided-i",
+                "valid=no",
+                "violation=q <= p fails: q=3, p=1",
+                "violation=I within {q,...,p-1} fails: 3 with q=3, p=1",
+            ],
+        ),
+        (
+            "form=twosided-i\nq=0 p=2 d=1 I=0 P=0\nF=(0,5)\n",
+            [
+                "form=twosided-i",
+                "valid=no",
+                "violation=F within the triangle fails: (0,5) is outside q <= i <= j < p with q=0, p=2",
+            ],
+        ),
+    ],
+    ids=["tail_d", "FD-off-diagonal", "duplicate-row", "twosided-d", "q-above-p", "F-outside-triangle"],
+)
+def test_classify_names_each_violation(text, lines, tmp_path, capsys):
+    path = tmp_path / "invalid.spec"
+    path.write_text(text, encoding="utf-8")
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"{line}\n" for line in lines)
+    assert captured.err == ""
+
+
 def test_classify_syntax_error(tmp_path, capsys):
     bad = tmp_path / "bad.spec"
     bad.write_text("form=upper\nwhat\n")
     assert main(["classify", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "row_lines, error",
+    [
+        ("row=0 m=1 m=2", "line 3: duplicate key 'm' on row line"),
+        ("row=0 m=1 x=2", "line 3: unknown key 'x' on row line"),
+        ("FD= row=0", "line 3: row must start its own line"),
+    ],
+)
+def test_row_line_errors(row_lines, error, tmp_path, capsys):
+    path = tmp_path / "bad.spec"
+    path.write_text(f"form=upper\nd=1 N=1 I0=0 R=\n{row_lines}\n", encoding="utf-8")
+    for command in ("classify", "decide"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error={error}\n"
 
 
 def test_missing_file_is_an_error(capsys):

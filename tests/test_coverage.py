@@ -1,3 +1,4 @@
+import importlib
 import random
 
 from bicyclic import (
@@ -19,9 +20,11 @@ from bicyclic import (
 )
 from bicyclic import RowOverride, hat_spec, validate
 from bicyclic import _cover
-from bicyclic.cli import _gap_lines
+from bicyclic.cli import _gap_lines, main
+from bicyclic.iorder import Condition, Decision
 from bicyclic.subsemigroups import WINDOW_LIMIT, _grid
 import membership_oracle as oracle
+from golden import CORPUS_DIR
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
 
 fs = frozenset
@@ -247,6 +250,23 @@ class TestCrossValidate:
         report = cross_validate(corpus_specs["twosided_ii_all_columns"], 6)
         assert report.passed
         assert report.coverage.gaps == ()
+
+    def test_yes_verdict_with_gaps_fails(self, monkeypatch, corpus_specs, capsys):
+        # a decider that wrongly says yes on the full first column: its
+        # products reach only row 0 and column 0, so 16 of the 25 cells
+        # of window 4 are gaps
+        wrong = Decision(True, "lower", (Condition("d-is-1", True), Condition("all-columns-present", True)))
+        # the package's `coverage` attribute is the function, so the module
+        # comes from the import system
+        monkeypatch.setattr(importlib.import_module("bicyclic.coverage"), "decide_left_iorder", lambda spec: wrong)
+        report = cross_validate(corpus_specs["lower_column0"], 4)
+        assert not report.passed
+        assert report.notes == ("yes verdict but 16 window gaps",)
+        assert main(["crosscheck", str(CORPUS_DIR / "lower_column0.spec"), "--window", "4"]) == 1
+        assert capsys.readouterr().out == (
+            "verdict=yes\nwindow=4\npair_bound=36\ncoverage_gaps=16\nclosure=ok\n"
+            "note=yes verdict but 16 window gaps\nresult=FAIL\n"
+        )
 
     def test_whole_corpus_at_window_10(self, corpus_specs):
         for name, spec in corpus_specs.items():

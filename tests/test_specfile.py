@@ -12,6 +12,7 @@ from bicyclic import (
 )
 from bicyclic.specfile import SpecSyntaxError, SpecValidationError
 from golden import CORPUS, INVALID_ENTRIES, VALID_ENTRIES
+from test_cli import INT_STR_DIGITS, needs_int_str_limit
 from test_row_masks import grid_cells
 
 R1_TEXT = "form=upper\nd=1\nN=1\nI0=0\nrow=0 m=0 F="
@@ -84,19 +85,29 @@ class TestSyntaxErrors:
         with pytest.raises(SpecSyntaxError):
             parse_spec("form=upper\nd=one\nN=1\nI0=0")
 
-    def test_non_ascii_and_overlong_integers(self):
+    def test_non_ascii_integers(self):
         # "²" passes str.isdigit but not int(); "٣" is read by int() but
-        # is no ASCII digit; and int() refuses overlong digit strings
+        # is no ASCII digit
         cases = (
             ("form=upper\nd=\u00b2\nN=1\nI0=0", "line 2: d "),
             ("form=upper\nd=1\nN=1\nI0=0,\u00b2", "line 4: I0 "),
             ("form=twosided-i\nq=0\np=1\nd=1\nI=0\nP=\u0663", "line 6: P "),
             ("form=diagonal\nelements=(\u0663,\u0663)", "line 2: elements "),
-            ("form=upper\nd=" + "1" * 5000 + "\nN=1\nI0=0", "line 2: d has too many digits"),
-            ("form=diagonal\nelements=(0," + "1" * 5000 + ")", "line 2: elements has too many digits"),
         )
         for text, message in cases:
             with pytest.raises(SpecSyntaxError, match=message):
+                parse_spec_unchecked(text)
+
+    @needs_int_str_limit
+    def test_integers_beyond_the_int_string_limit(self):
+        # int() refuses one digit more than the interpreter's limit
+        digits = "1" * (INT_STR_DIGITS + 1)
+        cases = (
+            ("form=upper\nd=" + digits + "\nN=1\nI0=0", "line 2: d has too many digits"),
+            ("form=diagonal\nelements=(0," + digits + ")", "line 2: elements has too many digits"),
+        )
+        for text, message in cases:
+            with pytest.raises(SpecSyntaxError, match=rf"{message} \({len(digits)}\)$"):
                 parse_spec_unchecked(text)
 
     def test_bad_element_list(self):

@@ -95,6 +95,27 @@ class TestValidate:
         spec = Upper(fs(), IndexSet(fs(), fs({2}), 0, 2), RowData(0))
         assert any("R within" in v for v in validate(spec).violations)
 
+    @pytest.mark.parametrize(
+        "spec, violation",
+        [
+            (Upper(fs(), IndexSet(fs(), fs({0}), -1, 1), RowData(0)), "N >= 0 fails: N=-1"),
+            (Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(-1)), "default_m >= 0 fails: default_m=-1"),
+            (
+                Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0, (RowOverride(0, -2),))),
+                "row m >= 0 fails: m=-2 on row 0",
+            ),
+            (TwoSidedI(-1, 2, 1, fs({-1}), fs({0})), "q >= 0 fails: q=-1"),
+            (Diagonal(fs({Element(0, 0)}), DiagonalTail(-2, 1, 0)), "tail_N >= 0 fails: tail_N=-2"),
+        ],
+        ids=["N", "default_m", "row-m", "q", "tail_N"],
+    )
+    def test_negative_parameters(self, spec, violation):
+        assert validate(spec).violations == (violation,)
+
+    def test_non_spec_is_refused(self):
+        with pytest.raises(TypeError, match=r"^not a subsemigroup spec: \(0, 1\)$"):
+            validate((0, 1))
+
     def test_invalid_spec_blocks_operations(self):
         spec = TwoSidedI(1, 3, 1, fs({2}), fs({0}))
         with pytest.raises(InvalidSpecError):

@@ -8,8 +8,10 @@ from bicyclic import (
     Lower,
     NotLeftIOrderError,
     RowData,
+    RowOverride,
     TwoSidedII,
     Upper,
+    decide_left_iorder,
     decompose,
     multiply,
     verify_witness,
@@ -103,6 +105,46 @@ def test_witness_growth_bound(corpus_specs):
                 bound = 2 * (i + j) + p + m_extra
                 for coord in (w.x.i, w.x.j, w.y.i, w.y.j):
                     assert coord <= bound, (entry.name, w)
+
+
+def _coordinate(rng, rows):
+    return rng.choice((rng.randint(0, 12), rng.randint(0, 10**12), rng.choice(rows)))
+
+
+def test_reflected_lifts_keep_their_formulas():
+    # the reflected forms lift by their rows' progression starts; on yes
+    # specs those are the row thresholds (lower) and p (two-sided (ii))
+    rng = random.Random(30)
+    for case in range(400):
+        if case % 2:
+            start = rng.randint(0, 4)
+            rows = rng.sample(range(12), 3) + [rng.randint(0, 10**12)]
+            overrides = []
+            for row in rows:
+                m = row + rng.choice((rng.randint(0, 9), rng.randint(0, 10**12)))
+                extra = fs(Element(row, j) for j in rng.sample(range(row, row + 12), rng.randint(0, 3)))
+                overrides.append(RowOverride(row, m, extra))
+            fd = fs({Element(0, 0)}) if rng.random() < 0.5 else fs()
+            spec = Lower(fd, IndexSet(fs(range(start)), fs({0}), start, 1), RowData(rng.randint(0, 6), tuple(overrides)))
+
+            def lift(m, n, spec=spec):
+                return m + n + max(spec.rows.threshold(m), spec.rows.threshold(n))
+
+        else:
+            p = rng.randint(1, 10)
+            rows = list(range(p + 2))
+            triangle = fs(Element(i, j) for i in range(p) for j in range(i, p) if rng.random() < 0.3)
+            fd = fs({Element(0, 0)}) if rng.random() < 0.5 else fs()
+            spec = TwoSidedII(0, p, 1, fs(range(p)), fs({0}), fd, triangle)
+
+            def lift(m, n, p=p):
+                return p + m + n
+
+        assert decide_left_iorder(spec).verdict, spec
+        for _ in range(5):
+            q = Element(_coordinate(rng, rows), _coordinate(rng, rows))
+            row = lift(q.i, q.j)
+            assert decompose(spec, q) == Witness(q, Element(row, q.i), Element(row, q.j), spec.form), (spec, q)
 
 
 def test_decompose_refuses_non_iorders():
