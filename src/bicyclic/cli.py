@@ -12,7 +12,6 @@ import functools
 import os
 import sys
 from itertools import compress
-from pathlib import Path
 from typing import Optional
 
 from .coverage import CoverageReport, coverage, cross_validate
@@ -28,9 +27,11 @@ __all__ = ["main"]
 
 
 def _read_spec_text(path: str) -> str:
+    # open(), not Path(): Path("") is ".", which names a path never given
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
 
 

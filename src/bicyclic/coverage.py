@@ -25,12 +25,7 @@ from .elements import Element
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import (
     ClosureFailure,
-    Diagonal,
-    Lower,
     SubsemigroupSpec,
-    TwoSidedI,
-    TwoSidedII,
-    Upper,
     _check_limit,
     _check_window,
     _grid,
@@ -84,9 +79,10 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
     """Default member window for the pair enumeration.
 
     Follows the coordinate growth of the witness formulas, with slack:
-    3 * (2 * window + p + m_default + 4), raised for the reflected forms
-    to L + d + window, where L is the largest finite row or progression
-    start over the columns 0 .. window.
+    3 * (2 * window + c + 4), where c is the spec's `_corner` (p on the
+    two-sided forms, m_default on the row forms, 0 on diagonal), raised
+    for the reflected forms to L + d + window, where L is the largest
+    finite row or progression start over the columns 0 .. window.
 
     Why that covers every product in the window: for x = (a, c) and
     y = (r, n), inverse(x) * y = (c - a + t, n - r + t) with
@@ -98,13 +94,19 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
 
     Upper and diagonal specs need no more than the window: every member
     lies on or above the diagonal, so a member of a column c <= window
-    lies in a row <= c, and the formula is at least window.  Two-sided
-    (i) keeps the formula alone: its square rows can move down by d
-    together, but that is not yet a proof.
+    lies in a row <= c, and the formula is at least window.
+
+    Two-sided (i) keeps the formula alone, and it too needs no more
+    than the window.  If x lies on or above the diagonal, then a <= c <=
+    window, and r <= window as well: when r > a, the product's row
+    c - a + r is at least r.  Likewise if y does.  Every member outside
+    the square lies on or above the diagonal.  A square member (i, j)
+    below it has i >= j + d, since d divides i - j, so (i - d, j) is a
+    square member too; a pair with both factors below the diagonal thus
+    moves down by d to a pair with the same product, until one factor
+    lies on or above it.
     """
-    p = spec.p if isinstance(spec, (TwoSidedI, TwoSidedII)) else 0
-    m_default = spec.rows.m_default if isinstance(spec, (Upper, Lower)) else 0
-    bound = 3 * (2 * window + p + m_default + 4)
+    bound = 3 * (2 * window + spec._corner + 4)
     if spec.reflected:
         bound = max(bound, _last_start(spec, window + 1) + spec.step + window)
     return bound
@@ -127,7 +129,7 @@ def coverage(
     # diagonal elements have i = j), so their rows past the window hold
     # none of those; the other forms reach below the diagonal.
     cols = min(window, pair_bound) + 1
-    rows = cols if isinstance(spec, (Upper, Diagonal)) else pair_bound + 1
+    rows = cols if spec._above_diagonal else pair_bound + 1
     members = _grid(spec, rows, cols)
     return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
 

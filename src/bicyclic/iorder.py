@@ -25,15 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .elements import Element
-from .subsemigroups import (
-    Diagonal,
-    Lower,
-    SubsemigroupSpec,
-    TwoSidedI,
-    TwoSidedII,
-    Upper,
-    require_valid,
-)
+from .subsemigroups import SubsemigroupSpec, require_valid
 
 __all__ = [
     "Condition",
@@ -94,14 +86,14 @@ _PARITY = Certificate("d-is-1", Element(0, 1), REASON_PARITY)
 _Verdict = tuple[tuple[Condition, ...], Optional[Certificate]]
 
 
-def _decide_diagonal(spec: Diagonal) -> _Verdict:
+def _decide_diagonal(spec: SubsemigroupSpec) -> _Verdict:
     # Products of idempotents are idempotent, so inverse(x) * y stays on
     # the diagonal and (0, 1) is never reached.
     cond = Condition("contains-non-idempotent", False)
     return (cond,), Certificate("contains-non-idempotent", Element(0, 1), REASON_IDEMPOTENTS_ONLY)
 
 
-def _row0_gap(spec: Upper | TwoSidedI) -> Optional[int]:
+def _row0_gap(spec: SubsemigroupSpec) -> Optional[int]:
     """Least h with (0, h) missing from S, or None.
 
     Let f count row 0's finite members, which the spec's row index holds
@@ -123,23 +115,32 @@ def _row0_gap(spec: Upper | TwoSidedI) -> Optional[int]:
     return gap if gap < width else None
 
 
-def _decide_upper(spec: Upper) -> _Verdict:
-    has_row0 = 0 in spec.row_indices
+def _decide_row0(spec: SubsemigroupSpec, index: Condition, name: str, failed: str) -> _Verdict:
+    """The verdict of a row-0 form on its row condition `name`.
+
+    `index` is the form's condition that row 0 is a row of I, and
+    `failed` the condition a row-0 gap certifies.  By `_row0_gap`, with
+    d = 1 the conditions all hold iff row 0 has no gap.  A gap (0, h) is
+    unreachable: inverse(x) * y lands in row 0 only when x lies in
+    column 0, these forms' only member there is (0, 0), and
+    inverse((0, 0)) * y = y, so row 0 is reached where S has members.
+    """
     gap = _row0_gap(spec)
-    conditions = (
-        Condition("d-is-1", spec.step == 1),
-        Condition("row-0-in-indices", has_row0),
-        Condition("row-0-prefix-covered", gap is None),
-    )
+    conditions = (Condition("d-is-1", spec.step == 1), index, Condition(name, gap is None))
     if spec.step != 1:
         return conditions, _PARITY
     if gap is None:
         return conditions, None
-    failed = "row-0-prefix-covered" if has_row0 else "row-0-in-indices"
     return conditions, Certificate(failed, Element(0, gap), REASON_ROW0_GAP)
 
 
-def _decide_columns(spec: Lower | TwoSidedII, name: str, holds: bool, bound: int) -> _Verdict:
+def _decide_upper(spec: SubsemigroupSpec) -> _Verdict:
+    has_row0 = 0 in spec.row_indices
+    failed = "row-0-prefix-covered" if has_row0 else "row-0-in-indices"
+    return _decide_row0(spec, Condition("row-0-in-indices", has_row0), "row-0-prefix-covered", failed)
+
+
+def _decide_columns(spec: SubsemigroupSpec, name: str, holds: bool, bound: int) -> _Verdict:
     """The verdict of a reflected form on its column condition `name`.
 
     `holds` says whether every column of S is present.  A column k of S
@@ -160,28 +161,19 @@ def _decide_columns(spec: Lower | TwoSidedII, name: str, holds: bool, bound: int
     return conditions, Certificate(name)
 
 
-def _decide_lower(spec: Lower) -> _Verdict:
+def _decide_lower(spec: SubsemigroupSpec) -> _Verdict:
     # With d = 1, I holds every column from N on when R = {0}, and column
     # N, above FD's strip, is missing when R is empty, so the columns
     # 0 .. N hold the least empty one.
     return _decide_columns(spec, "all-columns-present", spec.row_indices.is_full(), spec.row_indices.start + 1)
 
 
-def _decide_twosided_i(spec: TwoSidedI) -> _Verdict:
-    gap = _row0_gap(spec)
-    conditions = (
-        Condition("d-is-1", spec.step == 1),
-        Condition("q-is-0", spec.q == 0),
-        Condition("identity-row-covered", gap is None),
-    )
-    if spec.step != 1:
-        return conditions, _PARITY
-    if gap is None:
-        return conditions, None
-    return conditions, Certificate("identity-row-covered", Element(0, gap), REASON_ROW0_GAP)
+def _decide_twosided_i(spec: SubsemigroupSpec) -> _Verdict:
+    covered = "identity-row-covered"
+    return _decide_row0(spec, Condition("q-is-0", spec.q == 0), covered, covered)
 
 
-def _decide_twosided_ii(spec: TwoSidedII) -> _Verdict:
+def _decide_twosided_ii(spec: SubsemigroupSpec) -> _Verdict:
     # Validation keeps I within {q, ..., p-1}, so I is all of {0, ..., p-1}
     # exactly when q = 0 and I has p members; the square's rows start at
     # p, so the scan below p meets only rows of I.
@@ -190,21 +182,18 @@ def _decide_twosided_ii(spec: TwoSidedII) -> _Verdict:
 
 
 _DECIDERS = {
-    Diagonal: _decide_diagonal,
-    Upper: _decide_upper,
-    Lower: _decide_lower,
-    TwoSidedI: _decide_twosided_i,
-    TwoSidedII: _decide_twosided_ii,
+    "diagonal": _decide_diagonal,
+    "upper": _decide_upper,
+    "lower": _decide_lower,
+    "twosided-i": _decide_twosided_i,
+    "twosided-ii": _decide_twosided_ii,
 }
 
 
 def decide_left_iorder(spec: SubsemigroupSpec) -> Decision:
     """Decide whether the described subsemigroup is a left I-order."""
     require_valid(spec)
-    return _decision(spec.form, *_DECIDERS[type(spec)](spec))
-
-
-_REFLECTION = {Upper: Lower, Lower: Upper, TwoSidedI: TwoSidedII, TwoSidedII: TwoSidedI}
+    return _decision(spec.form, *_DECIDERS[spec.form](spec))
 
 
 def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
@@ -215,10 +204,10 @@ def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
     fixed points.  An involution by construction.
     """
     require_valid(spec)
-    if isinstance(spec, Diagonal):
+    if spec._mirror is None:
         return spec
     # the fields only: vars(spec) also holds the spec's cached row index
-    return _REFLECTION[type(spec)](**{f.name: getattr(spec, f.name) for f in fields(spec)})
+    return spec._mirror(**{f.name: getattr(spec, f.name) for f in fields(spec)})
 
 
 def decide_right_iorder(spec: SubsemigroupSpec) -> Decision:

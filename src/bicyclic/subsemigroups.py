@@ -20,6 +20,17 @@ upper orientation.  `contains` is the primitive at one column;
 rendering, the coverage member scan, `closure_falsify` and the
 identity-row checks of the decisions work on whole rows.
 
+Each class carries the facts that the modules downstream read in place
+of testing a spec's class.  They are class attributes, not fields, so
+they stay out of `repr`, equality, hashing and pickling:
+
+  form             the form's name in spec files and output
+  reflected        read the upper-orientation primitive at hat(x)
+  _mirror          the class of the diagonal reflection (None on
+                   diagonal, which reflection fixes)
+  _above_diagonal  every member lies on or above the diagonal
+  _corner          the p + default_m term of the default pair bound
+
 The classification guarantees every subsemigroup has one of these
 shapes; the converse is not guaranteed, so the decision procedures
 downstream assume the data denotes a genuine subsemigroup and
@@ -35,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .elements import Element, hat, multiply
 
@@ -206,8 +217,11 @@ class Diagonal:
     elements: frozenset[Element] = frozenset()
     tail: Optional[DiagonalTail] = None
 
-    form: ClassVar[str] = "diagonal"
-    reflected: ClassVar[bool] = False
+    form = "diagonal"
+    reflected = False
+    _mirror = None
+    _above_diagonal = True
+    _corner = 0
 
     @cached_property
     def _finite_columns(self) -> dict[int, list[int]]:
@@ -234,11 +248,16 @@ class _RowFamily:
     row_indices: IndexSet = field(default_factory=IndexSet)
     rows: RowData = field(default_factory=RowData)
 
-    reflected: ClassVar[bool] = False
+    reflected = False
+    _above_diagonal = True
 
     @property
     def step(self) -> int:
         return self.row_indices.step
+
+    @property
+    def _corner(self) -> int:
+        return self.rows.m_default
 
     @cached_property
     def _finite_columns(self) -> dict[int, list[int]]:
@@ -258,14 +277,18 @@ class _RowFamily:
 class Upper(_RowFamily):
     """Rows on or above the diagonal sharing one modular spacing."""
 
-    form: ClassVar[str] = "upper"
+    form = "upper"
 
 
 class Lower(_RowFamily):
     """Diagonal reflection of the upper form with the same parameters."""
 
-    form: ClassVar[str] = "lower"
-    reflected: ClassVar[bool] = True
+    form = "lower"
+    reflected = True
+    _above_diagonal = False
+
+
+Upper._mirror, Lower._mirror = Lower, Upper
 
 
 @dataclass(frozen=True)
@@ -287,7 +310,12 @@ class _TwoSided:
     diagonal_part: frozenset[Element] = frozenset()
     triangle_part: frozenset[Element] = frozenset()
 
-    reflected: ClassVar[bool] = False
+    reflected = False
+    _above_diagonal = False
+
+    @property
+    def _corner(self) -> int:
+        return self.p
 
     @cached_property
     def _finite_columns(self) -> dict[int, list[int]]:
@@ -311,14 +339,17 @@ class _TwoSided:
 class TwoSidedI(_TwoSided):
     """Triangle side up: diagonal part, triangle part, rows, and a square."""
 
-    form: ClassVar[str] = "twosided-i"
+    form = "twosided-i"
 
 
 class TwoSidedII(_TwoSided):
     """Triangle side down: reflection of the non-square parts of form (i)."""
 
-    form: ClassVar[str] = "twosided-ii"
-    reflected: ClassVar[bool] = True
+    form = "twosided-ii"
+    reflected = True
+
+
+TwoSidedI._mirror, TwoSidedII._mirror = TwoSidedII, TwoSidedI
 
 
 SubsemigroupSpec = Union[Diagonal, Upper, Lower, TwoSidedI, TwoSidedII]

@@ -179,6 +179,25 @@ def test_missing_file_is_an_error(capsys):
     assert main(["decide", "/nonexistent/path.spec"]) == 2
 
 
+def test_empty_path_is_named_as_given(capsys):
+    assert main(["decide", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error=cannot read : [Errno 2] No such file or directory: ''\n"
+
+
+def test_undecodable_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.spec"
+    path.write_bytes(b"form=upper\nd=1 N=1 I0=0 \xff\n")
+    assert main(["decide", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error=cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 24: invalid start byte\n"
+    )
+
+
 def test_decide_yes(capsys):
     assert main(["decide", corpus("r1")]) == 0
     out = capsys.readouterr().out

@@ -155,7 +155,11 @@ def far_scan(spec, window, bound):
 def test_default_pair_bound_reaches_every_product():
     # lower specs with an override m above the formula's bound, and
     # two-sided (ii) specs with d up to 160, against a scan far past the
-    # bound; a scan at the formula alone misses some of their cells
+    # bound; a scan at the formula alone misses some of their cells.
+    # Two-sided (i) specs, whose bound is the formula itself, take d on
+    # both sides of 5w + 2p + 12, past which the formula's rows hold less
+    # than a period of the square plus the window; as the bound's
+    # docstring proves, their rows up to the window reach every product.
     rng = random.Random(53)
     specs = []
     while len(specs) < 160:
@@ -179,12 +183,31 @@ def test_default_pair_bound_reaches_every_product():
             spec = Lower(fs(), idx, RowData(m_default, overrides))
         if validate(spec).ok and default_pair_bound(spec, window) <= WINDOW_LIMIT:
             specs.append((spec, window, formula))
+    sides = [0, 0]
+    while min(sides) < 60:
+        window = rng.randint(0, 10)
+        q = rng.randint(0, 3)
+        p = rng.randint(q + 1, q + 5)
+        split = 5 * window + 2 * p + 12
+        past = sides[0] > sides[1]
+        d = rng.randint(split + 1, split + 200) if past else rng.randint(1, split)
+        rows = fs({q}) | subset(range(q, p), rng, p - q)
+        offsets = fs({0}) | subset(range(d), rng, min(d, 6))
+        triangle = subset([Element(i, j) for i in range(q, p) for j in range(i, p)], rng, 4)
+        spec = TwoSidedI(q, p, d, rows, offsets, subset([Element(k, k) for k in range(q + 1)], rng, 2), triangle)
+        if validate(spec).ok and default_pair_bound(spec, window) <= WINDOW_LIMIT:
+            assert default_pair_bound(spec, window) == 3 * (2 * window + p + 4)
+            specs.append((spec, window, None))
+            sides[past] += 1
     missed = 0
     for spec, window, formula in specs:
         report = coverage(spec, window)
         far = 2 * report.pair_bound + 2 * spec.step
         assert report.rows == far_scan(spec, window, far), (spec, window)
-        missed += far_scan(spec, window, formula) != report.rows
+        if spec.reflected:
+            missed += far_scan(spec, window, formula) != report.rows
+        else:
+            assert far_scan(spec, window, window) == report.rows, (spec, window)
     assert missed > 40
 
 

@@ -22,7 +22,8 @@ from bicyclic import (
     multiply,
     parse_spec,
 )
-from bicyclic import iorder
+from bicyclic import closure_falsify, iorder
+from bicyclic.subsemigroups import _grid
 import membership_oracle as oracle
 from golden import NO_ENTRIES, VALID_ENTRIES, YES_ENTRIES
 from test_row_masks import grid_cells, random_specs
@@ -200,6 +201,52 @@ def test_random_certificates_mean_what_they_say():
             else:
                 assert cert.reason is None and c is None, decided
     assert all(reasons.get(r) for r in ("parity", "idempotents-only", "row0-gap", "empty-L-class")), reasons
+
+
+# Right verdicts are checked against x * inverse(y) scanned on the spec's
+# own rows, with neither `hat_spec` nor the left deciders.  With
+# x = (a, b) and y = (c, e), x * inverse(y) = (a - b + t, c - e + t),
+# t = max(b, e): its row is >= a and its column >= c, so window products
+# come from rows 0 .. RIGHT_WINDOW alone, and they have |b - e| <= the
+# window.  Past their last finite column or progression start L, those
+# rows repeat with period d, so a pair with both columns above L + d
+# moves left by d to a pair with the same product; random_specs keeps
+# L + d below 20, so RIGHT_COLUMNS holds every pair that cannot.
+RIGHT_WINDOW = 8
+RIGHT_COLUMNS = 80
+
+
+def _right_reached(spec):
+    """The cells (i, j) of the window that some x * inverse(y) reaches."""
+    rows = _grid(spec, RIGHT_WINDOW + 1, RIGHT_COLUMNS)
+    reached = set()
+    for a, x_row in enumerate(rows):
+        for c, y_row in enumerate(rows):
+            # s = b - e: the product is (a, c + s) for s >= 0, else (a - s, c)
+            for s in range(RIGHT_WINDOW - c + 1):
+                if x_row & (y_row << s):
+                    reached.add((a, c + s))
+            for s in range(1, RIGHT_WINDOW - a + 1):
+                if (x_row << s) & y_row:
+                    reached.add((a + s, c))
+    return reached
+
+
+def test_right_verdicts_against_a_direct_scan():
+    window = {(i, j) for i in range(RIGHT_WINDOW + 1) for j in range(RIGHT_WINDOW + 1)}
+    closed = yes = 0
+    for spec in random_specs(31, 600):
+        if closure_falsify(spec, 12) is not None:
+            continue
+        closed += 1
+        missing = window - _right_reached(spec)
+        decision = decide_right_iorder(spec)
+        assert decision.verdict == (not missing), (spec, sorted(missing)[:3])
+        yes += decision.verdict
+        c = None if decision.verdict else decision.certificate.uncovered
+        if c is not None and (c.i, c.j) in window:
+            assert (c.i, c.j) in missing, (spec, c)
+    assert closed > 400 and yes > 20, (closed, yes)
 
 
 def test_decision_lines_format():

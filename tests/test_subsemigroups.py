@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from bicyclic import (
@@ -15,10 +18,13 @@ from bicyclic import (
     closure_falsify,
     contains,
     hat,
+    hat_spec,
     multiply,
     validate,
 )
-from test_row_masks import grid_cells
+from bicyclic.iorder import _DECIDERS
+from bicyclic.specfile import _CLASSES
+from test_row_masks import grid_cells, random_specs
 
 fs = frozenset
 
@@ -209,3 +215,97 @@ class TestShapeInvariants:
                 continue
             for e in grid_cells(spec, 13, 13):
                 assert (e.j - e.i) % spec.step == 0
+
+
+# One spec per form, with the repr each had before the form facts moved
+# onto the classes.
+FORM_SPECS = {
+    "diagonal": (
+        Diagonal(fs({Element(1, 1)}), DiagonalTail(2, 3, 2)),
+        "Diagonal(elements=frozenset({Element(i=1, j=1)}), "
+        "tail=DiagonalTail(start=2, step=3, residue=2))",
+    ),
+    "upper": (
+        Upper(fs(), IndexSet(fs({0}), fs({1}), 1, 2), RowData(1, (RowOverride(1, 3, fs({Element(1, 5)})),))),
+        "Upper(diagonal_part=frozenset(), row_indices=IndexSet(fixed=frozenset({0}), "
+        "residues=frozenset({1}), start=1, step=2), rows=RowData(m_default=1, "
+        "overrides=(RowOverride(row=1, m=3, extra=frozenset({Element(i=1, j=5)})),)))",
+    ),
+    "lower": (
+        Lower(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(2)),
+        "Lower(diagonal_part=frozenset(), row_indices=IndexSet(fixed=frozenset(), "
+        "residues=frozenset({0}), start=0, step=1), rows=RowData(m_default=2, overrides=()))",
+    ),
+    "twosided-i": (
+        TwoSidedI(0, 2, 2, fs({0}), fs({0}), fs({Element(0, 0)}), fs({Element(0, 1)})),
+        "TwoSidedI(q=0, p=2, step=2, row_indices=frozenset({0}), offsets=frozenset({0}), "
+        "diagonal_part=frozenset({Element(i=0, j=0)}), triangle_part=frozenset({Element(i=0, j=1)}))",
+    ),
+    "twosided-ii": (
+        TwoSidedII(0, 1, 1, fs({0}), fs({0})),
+        "TwoSidedII(q=0, p=1, step=1, row_indices=frozenset({0}), offsets=frozenset({0}), "
+        "diagonal_part=frozenset(), triangle_part=frozenset())",
+    ),
+}
+ROW_FIELDS = ("diagonal_part", "row_indices", "rows")
+TWO_SIDED_FIELDS = ("q", "p", "step", "row_indices", "offsets", "diagonal_part", "triangle_part")
+MIRRORS = {
+    "diagonal": "diagonal",
+    "upper": "lower",
+    "lower": "upper",
+    "twosided-i": "twosided-ii",
+    "twosided-ii": "twosided-i",
+}
+
+
+class TestFormData:
+    """The facts other modules read off a spec's class stay out of its fields."""
+
+    def test_fields(self):
+        expected = {
+            Diagonal: ("elements", "tail"),
+            Upper: ROW_FIELDS,
+            Lower: ROW_FIELDS,
+            TwoSidedI: TWO_SIDED_FIELDS,
+            TwoSidedII: TWO_SIDED_FIELDS,
+        }
+        for cls, names in expected.items():
+            fields = tuple(f.name for f in dataclasses.fields(cls))
+            assert fields == names, cls
+            for fact in ("form", "reflected", "_mirror", "_above_diagonal", "_corner"):
+                assert fact not in fields and hasattr(cls, fact), (cls, fact)
+
+    def test_repr_and_pickle(self):
+        for form, (spec, text) in FORM_SPECS.items():
+            assert validate(spec).ok and spec.form == form
+            spec.row_bits(0, 0, 8)  # fill the cached row index first
+            copy = pickle.loads(pickle.dumps(spec))
+            assert repr(spec) == repr(copy) == text
+            assert copy == spec and hash(copy) == hash(spec) and type(copy) is type(spec)
+
+    def test_mirrors(self):
+        for form, (spec, _) in FORM_SPECS.items():
+            mirrored = hat_spec(spec)
+            assert mirrored.form == MIRRORS[form]
+            assert hat_spec(mirrored) == spec
+        diagonal = FORM_SPECS["diagonal"][0]
+        assert hat_spec(diagonal) is diagonal
+
+    def test_one_decider_per_form(self):
+        assert set(_DECIDERS) == set(_CLASSES)
+
+    def test_above_diagonal_and_corner(self):
+        below = set()
+        for spec in random_specs(41, 300):
+            members = grid_cells(spec, 16, 16)
+            if spec._above_diagonal:
+                assert all(e.j >= e.i for e in members), spec
+            elif any(e.j < e.i for e in members):
+                below.add(spec.form)
+            if spec.form == "diagonal":
+                assert spec._corner == 0
+            elif spec.form in ("upper", "lower"):
+                assert spec._corner == spec.rows.m_default
+            else:
+                assert spec._corner == spec.p
+        assert below == {"lower", "twosided-i", "twosided-ii"}
