@@ -157,57 +157,91 @@ def _cmd_crosscheck(args) -> int:
     return 0 if report.passed else 1
 
 
+_WINDOW = ("--window", {"type": int, "required": True})
+
+# Every command once, in help order: handler, help, positional names, and
+# options as (flag, add_argument keywords).  `build_parser` and
+# `_plain_args` both read it.
+_COMMANDS = {
+    "mul": (_cmd_mul, "multiply two elements (i,j) (k,l)", ("left", "right"), ()),
+    "inv": (_cmd_inv, "invert an element (i,j)", ("element",), ()),
+    "normalize": (_cmd_normalize, "normalize a word over {a,b}", ("word",), ()),
+    "classify": (_cmd_classify, "parse a spec file and report validation", ("file",), ()),
+    "decide": (
+        _cmd_decide,
+        "decide the left (or right) I-order question",
+        ("file",),
+        (("--right", {"action": "store_true", "help": "decide the right I-order instead"}),),
+    ),
+    "witness": (_cmd_witness, "decompose an element over the subsemigroup", ("file", "element"), ()),
+    "render": (_cmd_render, "draw the subsemigroup on a window", ("file",), (_WINDOW,)),
+    "coverage": (
+        _cmd_coverage,
+        "brute-force coverage report on a window",
+        ("file",),
+        (_WINDOW, ("--pairs", {"type": int, "default": None, "help": "override the pair window bound"})),
+    ),
+    "crosscheck": (_cmd_crosscheck, "cross-validate the decision against coverage", ("file",), (_WINDOW,)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicyclic",
         description="Exact arithmetic and I-order decisions in the bicyclic monoid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("mul", help="multiply two elements (i,j) (k,l)")
-    s.add_argument("left")
-    s.add_argument("right")
-    s.set_defaults(func=_cmd_mul)
-
-    s = sub.add_parser("inv", help="invert an element (i,j)")
-    s.add_argument("element")
-    s.set_defaults(func=_cmd_inv)
-
-    s = sub.add_parser("normalize", help="normalize a word over {a,b}")
-    s.add_argument("word")
-    s.set_defaults(func=_cmd_normalize)
-
-    s = sub.add_parser("classify", help="parse a spec file and report validation")
-    s.add_argument("file")
-    s.set_defaults(func=_cmd_classify)
-
-    s = sub.add_parser("decide", help="decide the left (or right) I-order question")
-    s.add_argument("file")
-    s.add_argument("--right", action="store_true", help="decide the right I-order instead")
-    s.set_defaults(func=_cmd_decide)
-
-    s = sub.add_parser("witness", help="decompose an element over the subsemigroup")
-    s.add_argument("file")
-    s.add_argument("element")
-    s.set_defaults(func=_cmd_witness)
-
-    s = sub.add_parser("render", help="draw the subsemigroup on a window")
-    s.add_argument("file")
-    s.add_argument("--window", type=int, required=True)
-    s.set_defaults(func=_cmd_render)
-
-    s = sub.add_parser("coverage", help="brute-force coverage report on a window")
-    s.add_argument("file")
-    s.add_argument("--window", type=int, required=True)
-    s.add_argument("--pairs", type=int, default=None, help="override the pair window bound")
-    s.set_defaults(func=_cmd_coverage)
-
-    s = sub.add_parser("crosscheck", help="cross-validate the decision against coverage")
-    s.add_argument("file")
-    s.add_argument("--window", type=int, required=True)
-    s.set_defaults(func=_cmd_crosscheck)
-
+    for name, (func, text, positionals, options) in _COMMANDS.items():
+        s = sub.add_parser(name, help=text)
+        for dest in positionals:
+            s.add_argument(dest)
+        for flag, keywords in options:
+            s.add_argument(flag, **keywords)
+        s.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives a plain argv, or None for any other argv.
+
+    A plain argv names a command, then gives exactly its positionals, none
+    starting with `-`, and its options spelled out in full, in any order;
+    an int option's value does not start with `-` and `int()` reads it.
+    Abbreviations, `--opt=value`, `--`, `-h`, negative values and every
+    usage error are left to argparse, so reading an argv here never
+    changes what it does.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positionals, options = _COMMANDS[argv[0]]
+    flags = dict(options)
+    # what argparse leaves in an option's dest when the option is not given
+    values = {"command": argv[0], "func": func}
+    for flag, kw in options:
+        values[flag[2:]] = False if kw.get("action") == "store_true" else kw.get("default")
+    words = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            words.append(arg)
+        elif arg not in flags:
+            return None
+        elif flags[arg].get("action") == "store_true":
+            values[arg[2:]] = True
+        else:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                values[arg[2:]] = int(value)
+            except ValueError:
+                return None
+    if len(words) != len(positionals):
+        return None
+    if any(values[flag[2:]] is None for flag, kw in options if kw.get("required")):
+        return None
+    values.update(zip(positionals, words))
+    return argparse.Namespace(**values)
 
 
 @functools.cache
@@ -223,7 +257,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

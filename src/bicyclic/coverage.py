@@ -123,13 +123,12 @@ def coverage(
     # no lower check: a negative pair bound scans no members
     _check_limit("pair bound", pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
-    # >= y.j, so only members with j <= window can contribute.  Upper and
-    # diagonal members lie on or above the diagonal (a progression starts
-    # at max(m, i) >= i, a row's extras have j >= row, FD points and
-    # diagonal elements have i = j), so their rows past the window hold
-    # none of those; the other forms reach below the diagonal.
+    # >= y.j, so only members with j <= window can contribute.  On the
+    # forms with `_window_rows`, the members of rows up to the window
+    # reach every product there is (see `default_pair_bound`); the
+    # reflected forms reach the window from rows below it.
     cols = min(window, pair_bound) + 1
-    rows = cols if spec._above_diagonal else pair_bound + 1
+    rows = cols if spec._window_rows else pair_bound + 1
     members = _grid(spec, rows, cols)
     return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
 

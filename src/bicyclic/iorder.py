@@ -211,8 +211,14 @@ def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
 
 
 def decide_right_iorder(spec: SubsemigroupSpec) -> Decision:
-    """S is a right I-order iff its reflection is a left I-order."""
-    return decide_left_iorder(hat_spec(spec))
+    """S is a right I-order iff its reflection is a left I-order.
+
+    `hat_spec` validates the spec, and the reflection needs no second
+    check: it keeps every field, and validation reads only the fields
+    and the form family.
+    """
+    mirror = hat_spec(spec)
+    return _decision(mirror.form, *_DECIDERS[mirror.form](mirror))
 
 
 def decision_lines(decision: Decision, side: str = "left") -> list[str]:

@@ -28,7 +28,8 @@ they stay out of `repr`, equality, hashing and pickling:
   reflected        read the upper-orientation primitive at hat(x)
   _mirror          the class of the diagonal reflection (None on
                    diagonal, which reflection fixes)
-  _above_diagonal  every member lies on or above the diagonal
+  _window_rows     the members of rows 0 .. window reach every product
+                   in the window (`coverage.default_pair_bound` proves it)
   _corner          the p + default_m term of the default pair bound
 
 The classification guarantees every subsemigroup has one of these
@@ -220,7 +221,7 @@ class Diagonal:
     form = "diagonal"
     reflected = False
     _mirror = None
-    _above_diagonal = True
+    _window_rows = True
     _corner = 0
 
     @cached_property
@@ -249,7 +250,7 @@ class _RowFamily:
     rows: RowData = field(default_factory=RowData)
 
     reflected = False
-    _above_diagonal = True
+    _window_rows = True
 
     @property
     def step(self) -> int:
@@ -285,7 +286,7 @@ class Lower(_RowFamily):
 
     form = "lower"
     reflected = True
-    _above_diagonal = False
+    _window_rows = False
 
 
 Upper._mirror, Lower._mirror = Lower, Upper
@@ -311,7 +312,7 @@ class _TwoSided:
     triangle_part: frozenset[Element] = frozenset()
 
     reflected = False
-    _above_diagonal = False
+    _window_rows = True
 
     @property
     def _corner(self) -> int:
@@ -347,6 +348,7 @@ class TwoSidedII(_TwoSided):
 
     form = "twosided-ii"
     reflected = True
+    _window_rows = False
 
 
 TwoSidedI._mirror, TwoSidedII._mirror = TwoSidedII, TwoSidedI

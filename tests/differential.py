@@ -3,13 +3,14 @@
     python3 tests/differential.py OLD_SRC NEW_SRC [--seed S] [--count N]
 
 Runs every command in `test_cli_transcripts.ARGVS`, plus the large-window
-runs of `test_large_windows.ARGVS`, on each corpus file and on N specs
-drawn with seed S from `test_cli_transcripts`' generators (one in five
-fills row 0 by finite parts), once against each tree.  Each tree runs in
-its own subprocess, with only its `src` on the import path.  Exit code,
-stdout and stderr are compared run by run; the script prints `runs=` and
-`differences=`, then one `diff=` line per differing run, the first ten,
-and exits 1 on any difference.
+runs of `test_large_windows.ARGVS` and the argv variants of `VARIANTS`,
+on each corpus file and on N specs drawn with seed S from
+`test_cli_transcripts`' generators (one in five fills row 0 by finite
+parts), once against each tree; the variants that name no spec run once.
+Each tree runs in its own subprocess, with only its `src` on the import
+path.  Exit code, stdout and stderr are compared run by run; the script
+prints `runs=` and `differences=`, then one `diff=` line per differing
+run, the first ten, and exits 1 on any difference.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -27,6 +28,29 @@ from pathlib import Path
 
 SHOWN = 10
 
+# Argvs off the pinned shapes, for argparse to read: abbreviations, `=`,
+# options before the file, `--`, help, unknown and missing commands,
+# missing, extra and empty positionals, repeated options, and values that
+# are negative, not digits, not ASCII, or one digit past the int limit.
+# No usage error here echoes SPEC, whose path differs between the trees.
+VARIANTS = (
+    [["coverage", "SPEC", "--win", "3"], ["decide", "SPEC", "--ri"], ["render", "SPEC", "--window=3"]]
+    + [["coverage", "SPEC", "--window=4", "--pa", "3"], ["crosscheck", "SPEC", "--w", "2"]]
+    + [["decide", "--right", "SPEC"], ["coverage", "--window", "3", "--pairs", "40", "SPEC"]]
+    + [["decide", "--", "SPEC"], ["render", "--window", "2", "--", "SPEC"], ["witness", "SPEC", "--", "(1,2)"]]
+    + [["-h"], ["--help"]]
+    + [[command, "-h"] for command in ("mul", "inv", "normalize", "classify", "decide", "witness")]
+    + [[command, "-h"] for command in ("render", "coverage", "crosscheck")]
+    + [[], ["frobnicate"], ["frobnicate", "SPEC"], ["--right"], ["", "SPEC"], ["decid", "SPEC"]]
+    + [["witness", "SPEC"], ["mul", "(1,2)"], ["classify"], ["render", "SPEC"], ["inv"]]
+    + [["classify", "SPEC", "extra"], ["mul", "(1,2)", "(3,4)", "(5,6)"], ["decide", "SPEC", ""]]
+    + [["classify", ""], ["inv", ""], ["mul", "", "(1,2)"], ["normalize", ""], ["witness", "SPEC", ""]]
+    + [["coverage", "SPEC", "--window", "3", "--window", "5"], ["decide", "SPEC", "--right", "--right"]]
+    + [["coverage", "SPEC", "--window", "4", "--pairs", "3", "--pairs", "40"]]
+    + [["render", "SPEC", "--window", v] for v in ("-1", "x", "٣", "+3", " 3", "3_0", "", "1" * 4301)]
+    + [["coverage", "SPEC", "--window", "3", "--pairs", v] for v in ("-2", "y", "٤")]
+)
+
 
 def _worker(seed: int, count: int) -> None:
     """Print the loaded package's path, then one JSON line per run.
@@ -41,8 +65,13 @@ def _worker(seed: int, count: int) -> None:
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     print(Path(bicyclic.__file__).resolve())
     argvs = list(test_cli_transcripts.ARGVS) + list(test_large_windows.ARGVS)
+    argvs += [argv for argv in VARIANTS if "SPEC" in argv]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.spec"
+        for argv in VARIANTS:
+            if "SPEC" not in argv:
+                code, out, err = test_large_windows.run(argv, path)
+                print(json.dumps(["-", " ".join(argv), code, digest(out), digest(err)]))
         for name, text in test_cli_transcripts.spec_texts(seed, count).items():
             path.write_text(text, encoding="utf-8")
             for argv in argvs:

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from bicyclic import (
@@ -21,11 +24,14 @@ from bicyclic import (
     inverse,
     multiply,
     parse_spec,
+    validate,
 )
 from bicyclic import closure_falsify, iorder
+from bicyclic.specfile import parse_spec_unchecked
 from bicyclic.subsemigroups import _grid
 import membership_oracle as oracle
 from golden import NO_ENTRIES, VALID_ENTRIES, YES_ENTRIES
+from test_cli_transcripts import random_spec_text
 from test_row_masks import grid_cells, random_specs
 
 fs = frozenset
@@ -64,6 +70,25 @@ def test_decide_right_examples():
 def test_right_is_left_of_reflection(corpus_specs):
     for spec in corpus_specs.values():
         assert decide_right_iorder(spec) == decide_left_iorder(hat_spec(spec))
+
+
+def test_validation_is_blind_to_reflection():
+    # decide_right_iorder checks the spec, then decides its reflection
+    # unchecked: on valid and invalid random specs of all five forms, the
+    # reflection built from the same fields reads the same report
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(600):
+        spec = parse_spec_unchecked(random_spec_text(rng))
+        fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+        mirror = spec._mirror(**fields) if spec._mirror else spec
+        report = validate(spec)
+        assert validate(mirror) == report, spec
+        if report.ok:
+            assert hat_spec(spec) == mirror
+            assert decide_right_iorder(spec) == decide_left_iorder(mirror)
+        seen.add((spec.form, report.ok))
+    assert len(seen) == 10
 
 
 def test_b_plus_is_an_iorder():

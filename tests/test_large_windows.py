@@ -32,10 +32,14 @@ VALID = [entry for entry in CORPUS if entry.valid]
 
 
 def run(argv: list[str], path: Path) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one CLI run on the spec file at `path`."""
+    """Exit code, stdout and stderr of one CLI run on the spec file at `path`,
+    usage errors and --help included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(path) if a == "SPEC" else a for a in argv])
+        try:
+            code = main([str(path) if a == "SPEC" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -22,8 +22,11 @@ from bicyclic import (
     multiply,
     validate,
 )
+from bicyclic import _cover
+from bicyclic.coverage import coverage, default_pair_bound
 from bicyclic.iorder import _DECIDERS
 from bicyclic.specfile import _CLASSES
+from bicyclic.subsemigroups import _grid
 from test_row_masks import grid_cells, random_specs
 
 fs = frozenset
@@ -272,7 +275,7 @@ class TestFormData:
         for cls, names in expected.items():
             fields = tuple(f.name for f in dataclasses.fields(cls))
             assert fields == names, cls
-            for fact in ("form", "reflected", "_mirror", "_above_diagonal", "_corner"):
+            for fact in ("form", "reflected", "_mirror", "_window_rows", "_corner"):
                 assert fact not in fields and hasattr(cls, fact), (cls, fact)
 
     def test_repr_and_pickle(self):
@@ -294,18 +297,22 @@ class TestFormData:
     def test_one_decider_per_form(self):
         assert set(_DECIDERS) == set(_CLASSES)
 
-    def test_above_diagonal_and_corner(self):
-        below = set()
-        for spec in random_specs(41, 300):
-            members = grid_cells(spec, 16, 16)
-            if spec._above_diagonal:
-                assert all(e.j >= e.i for e in members), spec
-            elif any(e.j < e.i for e in members):
-                below.add(spec.form)
+    def test_window_rows_and_corner(self):
+        # where `_window_rows` holds, coverage on rows 0 .. window equals a
+        # scan of every row up to the default pair bound; where it does
+        # not, some spec shows that those rows fall short
+        short = set()
+        for n, spec in enumerate(random_specs(41, 300)):
+            window = n % 11
+            full = _cover.cover_grid(_grid(spec, default_pair_bound(spec, window) + 1, window + 1), window)
+            if spec._window_rows:
+                assert list(coverage(spec, window).rows) == full, spec
+            elif _cover.cover_grid(_grid(spec, window + 1, window + 1), window) != full:
+                short.add(spec.form)
             if spec.form == "diagonal":
                 assert spec._corner == 0
             elif spec.form in ("upper", "lower"):
                 assert spec._corner == spec.rows.m_default
             else:
                 assert spec._corner == spec.p
-        assert below == {"lower", "twosided-i", "twosided-ii"}
+        assert short == {"lower", "twosided-ii"}
