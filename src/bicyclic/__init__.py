@@ -24,12 +24,9 @@ _EXPORTS = {
     "elements": (
         "Element",
         "GreenRelations",
-        "IDENTITY",
         "green",
         "hat",
-        "idempotent_leq",
         "inverse",
-        "is_idempotent",
         "multiply",
         "parse_element",
     ),

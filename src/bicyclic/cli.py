@@ -8,7 +8,6 @@ verification, stdout closed before the output was written).
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from itertools import compress
@@ -244,22 +243,10 @@ def _plain_args(argv: list[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**values)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses: built on the first call, then kept.
-
-    Parsing leaves no state on the parser (each call fills a new
-    namespace), so one tree serves every call in the process.  The cache
-    sits here, not on `build_parser`: a caller of `build_parser` gets a
-    tree of its own, which it may change without changing this one.
-    """
-    return build_parser()
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or _parser().parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -30,6 +30,7 @@ from .subsemigroups import (
     _check_window,
     _grid,
     _last_start,
+    _set_bits,
     closure_falsify,
     require_valid,
 )
@@ -53,15 +54,10 @@ class CoverageReport:
 
     def gap_cells(self) -> Iterator[tuple[int, int]]:
         """The uncovered window cells as (i, j) int pairs, in (i, j) order."""
-        size = self.window + 1
-        full = (1 << size) - 1
+        full = (1 << (self.window + 1)) - 1
         for i, row in enumerate(self.rows):
-            gap = full & ~row
-            if gap:
-                # format() writes column 0 last, so each row's bits are reversed
-                for j, bit in enumerate(format(gap, f"0{size}b")[::-1]):
-                    if bit == "1":
-                        yield i, j
+            for j in _set_bits(full & ~row):
+                yield i, j
 
     @cached_property
     def gaps(self) -> tuple[Element, ...]:
@@ -124,11 +120,11 @@ def coverage(
     _check_limit("pair bound", pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
     # >= y.j, so only members with j <= window can contribute.  On the
-    # forms with `_window_rows`, the members of rows up to the window
+    # forms that are not reflected, the members of rows up to the window
     # reach every product there is (see `default_pair_bound`); the
     # reflected forms reach the window from rows below it.
     cols = min(window, pair_bound) + 1
-    rows = cols if spec._window_rows else pair_bound + 1
+    rows = pair_bound + 1 if spec.reflected else cols
     members = _grid(spec, rows, cols)
     return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
 

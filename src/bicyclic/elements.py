@@ -22,13 +22,10 @@ from typing import NamedTuple
 __all__ = [
     "Element",
     "GreenRelations",
-    "IDENTITY",
     "multiply",
     "inverse",
     "hat",
-    "is_idempotent",
     "green",
-    "idempotent_leq",
     "parse_element",
 ]
 
@@ -62,9 +59,6 @@ class Element:
             raise ValueError(f"element coordinate has too many digits to print ({digits})") from None
 
 
-IDENTITY = Element(0, 0)
-
-
 class GreenRelations(NamedTuple):
     """Which of the Green relations hold for a pair of elements."""
 
@@ -94,11 +88,6 @@ def hat(x: Element) -> Element:
     return Element(x.j, x.i)
 
 
-def is_idempotent(x: Element) -> bool:
-    """True exactly for the diagonal elements (n, n)."""
-    return x.i == x.j
-
-
 def green(x: Element, y: Element) -> GreenRelations:
     """Green relation flags: L iff equal columns, R iff equal rows.
 
@@ -108,17 +97,6 @@ def green(x: Element, y: Element) -> GreenRelations:
     l = x.j == y.j
     r = x.i == y.i
     return GreenRelations(l, r, l and r, True)
-
-
-def idempotent_leq(e: Element, f: Element) -> bool:
-    """Natural partial order on idempotents: e <= f iff e.i >= f.i.
-
-    The chain runs (0,0) >= (1,1) >= (2,2) >= ...; both arguments must be
-    idempotent.
-    """
-    if not is_idempotent(e) or not is_idempotent(f):
-        raise ValueError(f"idempotent_leq is defined on idempotents only, got {e} and {f}")
-    return e.i >= f.i
 
 
 # ASCII digits only: \d also matches digits such as "٣" that int() reads.

@@ -28,8 +28,6 @@ they stay out of `repr`, equality, hashing and pickling:
   reflected        read the upper-orientation primitive at hat(x)
   _mirror          the class of the diagonal reflection (None on
                    diagonal, which reflection fixes)
-  _window_rows     the members of rows 0 .. window reach every product
-                   in the window (`coverage.default_pair_bound` proves it)
   _corner          the p + default_m term of the default pair bound
 
 The classification guarantees every subsemigroup has one of these
@@ -221,7 +219,6 @@ class Diagonal:
     form = "diagonal"
     reflected = False
     _mirror = None
-    _window_rows = True
     _corner = 0
 
     @cached_property
@@ -250,7 +247,6 @@ class _RowFamily:
     rows: RowData = field(default_factory=RowData)
 
     reflected = False
-    _window_rows = True
 
     @property
     def step(self) -> int:
@@ -286,7 +282,6 @@ class Lower(_RowFamily):
 
     form = "lower"
     reflected = True
-    _window_rows = False
 
 
 Upper._mirror, Lower._mirror = Lower, Upper
@@ -312,7 +307,6 @@ class _TwoSided:
     triangle_part: frozenset[Element] = frozenset()
 
     reflected = False
-    _window_rows = True
 
     @property
     def _corner(self) -> int:
@@ -348,7 +342,6 @@ class TwoSidedII(_TwoSided):
 
     form = "twosided-ii"
     reflected = True
-    _window_rows = False
 
 
 TwoSidedI._mirror, TwoSidedII._mirror = TwoSidedII, TwoSidedI
@@ -549,12 +542,6 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _contains(spec: SubsemigroupSpec, x: Element) -> bool:
-    if spec.reflected:
-        x = hat(x)
-    return spec.row_bits(x.i, x.j, 1) == 1
-
-
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """The grid read by columns: bit i of entry j is bit j of rows[i].
 
@@ -591,7 +578,9 @@ def _grid(spec: SubsemigroupSpec, rows: int, cols: int) -> list[int]:
 def contains(spec: SubsemigroupSpec, x: Element) -> bool:
     """Exact membership of x in the denoted set."""
     require_valid(spec)
-    return _contains(spec, x)
+    if spec.reflected:
+        x = hat(x)
+    return spec.row_bits(x.i, x.j, 1) == 1
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,14 @@ on each corpus file and on N specs drawn with seed S from
 `test_cli_transcripts`' generators (one in five fills row 0 by finite
 parts), once against each tree; the variants that name no spec run once.
 Each tree runs in its own subprocess, with only its `src` on the import
-path.  Exit code, stdout and stderr are compared run by run; the script
-prints `runs=` and `differences=`, then one `diff=` line per differing
-run, the first ten, and exits 1 on any difference.
+path.  Exit code, stdout and stderr are compared run by run.  A run whose
+CLI raises records `raised <ExceptionType>` as its exit code, with empty
+digests, and the next run goes on.  The script prints `runs=`,
+`differences=` and `crashes=` (the runs of NEW_SRC that raised), then one
+`diff=` line per differing run and one `crash=` line per crash, the
+first ten of each.  It exits 1 on any difference, and on any crash of
+NEW_SRC even where OLD_SRC crashed the same way: every argv should end
+in exit 0, 1 or 2.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -52,6 +57,21 @@ VARIANTS = (
 )
 
 
+def _outcome(argv: list[str], path: Path) -> list:
+    """Exit code and stdout and stderr digests of one run on the spec at `path`.
+
+    A run whose CLI raises gives `raised <ExceptionType>` and two empty
+    digests instead.
+    """
+    import test_large_windows
+
+    try:
+        code, out, err = test_large_windows.run(argv, path)
+    except Exception as exc:
+        return [f"raised {type(exc).__name__}", "", ""]
+    return [code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()]
+
+
 def _worker(seed: int, count: int) -> None:
     """Print the loaded package's path, then one JSON line per run.
 
@@ -62,7 +82,6 @@ def _worker(seed: int, count: int) -> None:
     import test_cli_transcripts
     import test_large_windows
 
-    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     print(Path(bicyclic.__file__).resolve())
     argvs = list(test_cli_transcripts.ARGVS) + list(test_large_windows.ARGVS)
     argvs += [argv for argv in VARIANTS if "SPEC" in argv]
@@ -70,13 +89,11 @@ def _worker(seed: int, count: int) -> None:
         path = Path(tmp) / "spec.spec"
         for argv in VARIANTS:
             if "SPEC" not in argv:
-                code, out, err = test_large_windows.run(argv, path)
-                print(json.dumps(["-", " ".join(argv), code, digest(out), digest(err)]))
+                print(json.dumps(["-", " ".join(argv), *_outcome(argv, path)]))
         for name, text in test_cli_transcripts.spec_texts(seed, count).items():
             path.write_text(text, encoding="utf-8")
             for argv in argvs:
-                code, out, err = test_large_windows.run(argv, path)
-                print(json.dumps([name, " ".join(argv), code, digest(out), digest(err)]))
+                print(json.dumps([name, " ".join(argv), *_outcome(argv, path)]))
 
 
 def _start(src: Path, seed: int, count: int, out) -> subprocess.Popen:
@@ -114,11 +131,15 @@ def main() -> int:
     if len(old) != len(new):
         raise SystemExit(f"error=run counts differ: {len(old)} against {len(new)}")
     differing = [a[:2] for a, b in zip(old, new) if a != b]
+    crashes = [b for b in new if str(b[2]).startswith("raised ")]
     print(f"runs={len(old)}")
     print(f"differences={len(differing)}")
+    print(f"crashes={len(crashes)}")
     for name, argv in differing[:SHOWN]:
         print(f"diff={name}: {argv}")
-    return int(bool(differing))
+    for name, argv, code, *_ in crashes[:SHOWN]:
+        print(f"crash={name}: {argv}: {code}")
+    return int(bool(differing or crashes))
 
 
 if __name__ == "__main__":

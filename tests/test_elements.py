@@ -3,12 +3,9 @@ from hypothesis import given, strategies as st
 
 from bicyclic import (
     Element,
-    IDENTITY,
     green,
     hat,
-    idempotent_leq,
     inverse,
-    is_idempotent,
     multiply,
     parse_element,
 )
@@ -31,20 +28,14 @@ def test_multiply_examples():
 
 def test_identity_both_sides():
     for x in (Element(0, 0), Element(2, 5), Element(7, 0)):
-        assert multiply(IDENTITY, x) == x
-        assert multiply(x, IDENTITY) == x
+        assert multiply(Element(0, 0), x) == x
+        assert multiply(x, Element(0, 0)) == x
 
 
 def test_inverse_examples():
     assert inverse(Element(2, 5)) == Element(5, 2)
     assert inverse(Element(0, 0)) == Element(0, 0)
     assert inverse(Element(7, 0)) == Element(0, 7)
-
-
-def test_is_idempotent_examples():
-    assert is_idempotent(Element(4, 4))
-    assert is_idempotent(Element(0, 0))
-    assert not is_idempotent(Element(2, 3))
 
 
 def test_green_examples():
@@ -54,19 +45,6 @@ def test_green_examples():
     assert (flags.l, flags.r, flags.h, flags.d) == (True, True, True, True)
     flags = green(Element(0, 1), Element(9, 4))
     assert (flags.l, flags.r, flags.h, flags.d) == (False, False, False, True)
-
-
-def test_idempotent_leq_examples():
-    assert idempotent_leq(Element(2, 2), Element(1, 1))
-    assert idempotent_leq(Element(0, 0), Element(0, 0))
-    assert not idempotent_leq(Element(1, 1), Element(2, 2))
-
-
-def test_idempotent_leq_rejects_non_idempotents():
-    with pytest.raises(ValueError):
-        idempotent_leq(Element(1, 2), Element(1, 1))
-    with pytest.raises(ValueError):
-        idempotent_leq(Element(1, 1), Element(0, 3))
 
 
 def test_hat_examples():
@@ -143,10 +121,3 @@ def test_green_equivalence_on_samples(x, y, z):
 def test_hat_reverses_products(x, y):
     assert hat(multiply(x, y)) == multiply(hat(y), hat(x))
     assert hat(hat(x)) == x
-
-
-def test_idempotent_chain():
-    # (0,0) >= (1,1) >= (2,2) >= ... under the natural order
-    for n in range(10):
-        assert idempotent_leq(Element(n + 1, n + 1), Element(n, n))
-        assert not idempotent_leq(Element(n, n), Element(n + 1, n + 1))

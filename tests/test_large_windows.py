@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from bicyclic.cli import main
+from bicyclic import cli
 from golden import CORPUS
 
 RECORD = Path(__file__).resolve().parent / "large_windows.json"
@@ -37,7 +37,7 @@ def run(argv: list[str], path: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([str(path) if a == "SPEC" else a for a in argv])
+            code = cli.main([str(path) if a == "SPEC" else a for a in argv])
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()

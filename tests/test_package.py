@@ -20,7 +20,7 @@ SRC = Path(bicyclic.__file__).resolve().parent.parent
 # Every exported name, by the submodule that defines it.
 HOMES = {
     "elements": (
-        "Element GreenRelations IDENTITY green hat idempotent_leq inverse is_idempotent multiply parse_element"
+        "Element GreenRelations green hat inverse multiply parse_element"
     ),
     "words": "word_normalize",
     "subsemigroups": (

@@ -275,7 +275,7 @@ class TestFormData:
         for cls, names in expected.items():
             fields = tuple(f.name for f in dataclasses.fields(cls))
             assert fields == names, cls
-            for fact in ("form", "reflected", "_mirror", "_window_rows", "_corner"):
+            for fact in ("form", "reflected", "_mirror", "_corner"):
                 assert fact not in fields and hasattr(cls, fact), (cls, fact)
 
     def test_repr_and_pickle(self):
@@ -297,15 +297,15 @@ class TestFormData:
     def test_one_decider_per_form(self):
         assert set(_DECIDERS) == set(_CLASSES)
 
-    def test_window_rows_and_corner(self):
-        # where `_window_rows` holds, coverage on rows 0 .. window equals a
-        # scan of every row up to the default pair bound; where it does
-        # not, some spec shows that those rows fall short
+    def test_row_trim_and_corner(self):
+        # on the forms that are not reflected, coverage on rows 0 .. window
+        # equals a scan of every row up to the default pair bound; on the
+        # reflected ones, some spec shows that those rows fall short
         short = set()
         for n, spec in enumerate(random_specs(41, 300)):
             window = n % 11
             full = _cover.cover_grid(_grid(spec, default_pair_bound(spec, window) + 1, window + 1), window)
-            if spec._window_rows:
+            if not spec.reflected:
                 assert list(coverage(spec, window).rows) == full, spec
             elif _cover.cover_grid(_grid(spec, window + 1, window + 1), window) != full:
                 short.add(spec.form)
