@@ -86,7 +86,10 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
     |a - r| <= window.  Above L every column 0 .. window repeats with
     period d, so a pair whose lower row is above L + d moves down by d
     to a pair of members with the same product; the pairs with both rows
-    at most L + d + window therefore reach every product there is.
+    at most L + d + window therefore reach every product there is.  The
+    move lowers both rows, so for any bound B the pairs with both rows
+    at most min(B, L + d + window) reach every product of the pairs with
+    both rows at most B, and `coverage` scans no further.
 
     Upper and diagonal specs need no more than the window: every member
     lies on or above the diagonal, so a member of a column c <= window
@@ -102,10 +105,15 @@ def default_pair_bound(spec: SubsemigroupSpec, window: int) -> int:
     moves down by d to a pair with the same product, until one factor
     lies on or above it.
     """
-    bound = 3 * (2 * window + spec._corner + 4)
-    if spec.reflected:
-        bound = max(bound, _last_start(spec, window + 1) + spec.step + window)
-    return bound
+    return _bounds(spec, window)[0]
+
+
+def _bounds(spec: SubsemigroupSpec, window: int) -> tuple[int, int]:
+    """The default pair bound, and the last member row any product in the
+    window needs: L + d + window on the reflected forms, the window on
+    the others (see `default_pair_bound`)."""
+    reach = _last_start(spec, window + 1) + spec.step + window if spec.reflected else window
+    return max(3 * (2 * window + spec._corner + 4), reach), reach
 
 
 def coverage(
@@ -114,18 +122,20 @@ def coverage(
     """Scan the pair window's members and mark the window rows they cover."""
     require_valid(spec)
     _check_window(window)
+    default, reach = _bounds(spec, window)
     if pair_bound is None:
-        pair_bound = default_pair_bound(spec, window)
+        pair_bound = default
     # no lower check: a negative pair bound scans no members
     _check_limit("pair bound", pair_bound)
     # A product inverse(x) * y has first coordinate >= x.j and second
-    # >= y.j, so only members with j <= window can contribute.  On the
-    # forms that are not reflected, the members of rows up to the window
-    # reach every product there is (see `default_pair_bound`); the
-    # reflected forms reach the window from rows below it.
+    # >= y.j, so only members with j <= window can contribute.  The
+    # members of rows up to `reach` give every product there is (see
+    # `default_pair_bound`): the window on the forms that are not
+    # reflected, L + d + window on the reflected ones, which reach the
+    # window from rows below it.  Rows past it add no product, so a
+    # larger pair bound scans the same rows.
     cols = min(window, pair_bound) + 1
-    rows = pair_bound + 1 if spec.reflected else cols
-    members = _grid(spec, rows, cols)
+    members = _grid(spec, min(pair_bound, reach) + 1, cols)
     return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
 
 

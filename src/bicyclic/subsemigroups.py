@@ -619,17 +619,21 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
       largest m that breaks this depends on o alone, so it is found
       once per offset.
 
-    Every row m is on one side, so x is safe iff both hold, and each
-    member costs one product and one lookup.  The first member that
-    fails runs the per-row check above, which names the first failing
-    y in sorted order.
+    Every row m is on one side, so x is safe iff both hold.  B(l) lands
+    in row k unshifted, since x * (l, h) = (k, h), so the members of row
+    k are all safe on the first side iff the OR of their B(l) is a
+    subset of row k, which one product with the row's least member as x
+    checks.  A pass thus costs one product per nonempty member row and
+    one lookup per member.  Only a row that fails checks its members one
+    by one, and the first member that fails runs the per-row check
+    above, which names the first failing y in sorted order.
     """
     require_valid(spec)
     _check_window(window)
     size = window + 1
     span = _grid(spec, 2 * window + 1, 2 * window + 1)
     rows = [row & ((1 << size) - 1) for row in span[:size]]
-    members = [(k, l) for k, row in enumerate(rows) for l in _set_bits(row)]
+    columns = [list(_set_bits(row)) for row in rows]
     # blocks[l] is B(l); last_escape[o] is the largest m, above the least l
     # of the members with offset o, whose R[m] is outside row m + o, or -1
     blocks = []
@@ -639,20 +643,30 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
         blocks.append(block)
     # in (k, l) order the first member with offset o has the least l
     least: dict[int, int] = {}
-    for k, l in members:
-        least.setdefault(k - l, l)
+    for k, cols in enumerate(columns):
+        for l in cols:
+            least.setdefault(k - l, l)
     last_escape = {
         o: next((m for m in range(window, l, -1) if rows[m] & ~span[m + o]), -1)
         for o, l in least.items()
     }
-    for k, l in members:
-        x = Element(k, l)
-        if last_escape[k - l] <= l and not (blocks[l] and _escape(x, l, blocks[l], span)):
+    for k, cols in enumerate(columns):
+        union = 0
+        for l in cols:
+            union |= blocks[l]
+        # a nonzero union means the row has members
+        if all(last_escape[k - l] <= l for l in cols) and not (
+            union and _escape(Element(k, cols[0]), cols[0], union, span)
+        ):
             continue
-        for m, row in enumerate(rows):
-            failure = row and _escape(x, m, row, span)
-            if failure:
-                return failure
+        for l in cols:
+            x = Element(k, l)
+            if last_escape[k - l] <= l and not (blocks[l] and _escape(x, l, blocks[l], span)):
+                continue
+            for m, row in enumerate(rows):
+                failure = row and _escape(x, m, row, span)
+                if failure:
+                    return failure
     return None
 
 

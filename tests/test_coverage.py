@@ -22,10 +22,11 @@ from bicyclic import RowOverride, hat_spec, validate
 from bicyclic import _cover
 from bicyclic.cli import _gap_lines, main
 from bicyclic.iorder import Condition, Decision
-from bicyclic.subsemigroups import WINDOW_LIMIT, _grid
+from bicyclic.subsemigroups import WINDOW_LIMIT, _grid, _last_start
 import membership_oracle as oracle
 from golden import CORPUS_DIR
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
+from test_row_masks import random_specs
 
 fs = frozenset
 
@@ -257,6 +258,27 @@ def test_engine_matches_pair_loop():
             assert report.rows == tuple(full), (spec, window, pairs)
             text = "".join(f"gap=({i},{j})\n" for i, j in report.gap_cells())
             assert _gap_lines(report) == text
+
+
+def test_reflected_scan_stops_at_the_last_row_it_needs():
+    # lower and two-sided (ii) coverage reads rows up to L + d + window
+    # only, whatever the pair bound: below, at and above that row, and at
+    # the limit, the rows equal the engine's on the untrimmed scan of
+    # every row up to the bound; one override puts L in the hundreds
+    rng = random.Random(67)
+    far = Lower(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(1, (RowOverride(2, 300, fs({Element(2, 5)})),)))
+    specs = [spec for spec in random_specs(61, 240) if spec.reflected] + [far]
+    trimmed = 0
+    for spec in specs:
+        window = 3 if spec is far else rng.randint(0, 16)
+        reach = _last_start(spec, window + 1) + spec.step + window
+        for bound in (default_pair_bound(spec, window), reach - 1, reach, reach + 1, WINDOW_LIMIT):
+            if bound > WINDOW_LIMIT:
+                continue
+            full = _cover.cover_grid(_grid(spec, bound + 1, min(window, bound) + 1), window)
+            assert coverage(spec, window, bound).rows == tuple(full), (spec, window, bound)
+            trimmed += bound > reach
+    assert reach > 300 and trimmed > 100, (reach, trimmed)
 
 
 class TestCrossValidate:

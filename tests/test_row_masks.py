@@ -7,6 +7,7 @@ grow with them; window-sized work is refused beyond the limit.
 """
 
 import gc
+import importlib
 import random
 import time
 
@@ -33,6 +34,7 @@ from bicyclic import (
     decide_right_iorder,
     decision_lines,
     decompose,
+    multiply,
     parse_spec,
     render_window,
     validate,
@@ -267,6 +269,84 @@ def test_closure_probe_is_quadratic_in_the_window():
     failure, elapsed = timed(lambda: closure_falsify(spec, 160))
     assert failure is None
     assert elapsed < 0.5, elapsed
+
+
+def test_closure_probe_multiplies_once_per_member_row(corpus_specs, monkeypatch):
+    # counts, not the clock: one block product per nonempty member row;
+    # one per member was 225 at window 16 on twosided_ii_all_columns
+    subsemigroups = importlib.import_module("bicyclic.subsemigroups")
+    products = 0
+
+    def counting(x, y):
+        nonlocal products
+        products += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(subsemigroups, "multiply", counting)
+    for name, spec in corpus_specs.items():
+        for window in (16, 160):
+            products = 0
+            assert closure_falsify(spec, window) is None, (name, window)
+            member_rows = sum(1 for row in _grid(spec, window + 1, window + 1) if row)
+            assert products <= member_rows, (name, window, products, member_rows)
+    products = 0
+    closure_falsify(corpus_specs["twosided_ii_all_columns"], 16)
+    assert products == 15
+
+
+def dense_specs(seed, count):
+    """`count` distinct d = 1 specs shaped like the benchmark's
+    crosscheck-dense ones, half of them broken twins of the others, which
+    some of the window's products escape.
+
+    Two-sided specs have q = 0, p = 2, P = {0} and part of the triangle;
+    their twin leaves row 1 out of I.  Upper and lower specs take every
+    row, default_m = 2 and overrides below it; their twin leaves one of
+    rows 1 .. N - 1 out of I, or gives an override a threshold of 6 with
+    one extra below it.
+    """
+    rng = random.Random(seed)
+    specs = {}
+    while len(specs) < count:
+        cls = (TwoSidedI, TwoSidedII, Upper, Lower)[len(specs) // 2 % 4]
+        if cls in (TwoSidedI, TwoSidedII):
+            fd = subset([Element(0, 0)], rng)
+            triangle = subset([Element(0, 0), Element(0, 1), Element(1, 1)], rng)
+            spec = cls(0, 2, 1, fs({0, 1}), fs({0}), fd, triangle)
+            twin = cls(0, 2, 1, fs({0}), fs({0}), fd, triangle)
+        else:
+            fd = fs({Element(0, 0)}) if cls is Lower else fs()
+            n = rng.randint(2, 4)
+            whole = IndexSet(fs(range(n)), fs({0}), n, 1)
+            overrides = tuple(RowOverride(r, rng.randint(0, 2)) for r in subset((1, 3), rng, 2))
+            spec = cls(fd, whole, RowData(2, overrides))
+            if rng.randrange(2):
+                gap = rng.randint(1, n - 1)
+                kept = tuple(ov for ov in overrides if ov.row != gap)
+                twin = cls(fd, IndexSet(fs(range(n)) - {gap}, fs({0}), n, 1), RowData(2, kept))
+            else:
+                row = rng.choice((1, 3))
+                extra = fs({Element(row, row + rng.randint(0, 4))})
+                kept = tuple(ov for ov in overrides if ov.row != row)
+                twin = cls(fd, whole, RowData(2, kept + (RowOverride(row, 6, extra),)))
+        if spec not in specs and twin not in specs:
+            specs.update(dict.fromkeys((spec, twin)))
+    for spec in specs:
+        assert validate(spec).ok, spec
+    return list(specs)
+
+
+def test_closure_probe_equals_the_pair_loop_on_dense_specs():
+    # the windows of the benchmark's crosscheck-dense, where every member
+    # row is full from its threshold on and the probe checks whole rows
+    failing = 0
+    specs = dense_specs(43, 16)
+    for spec in specs:
+        for window in (8, 12, 16):
+            expected = oracle.closure_falsify(spec, window)
+            assert closure_falsify(spec, window) == expected, (spec, window)
+            failing += expected is not None
+    assert 20 <= failing <= 3 * len(specs) - 20, failing
 
 
 class TestHugeParameters:
