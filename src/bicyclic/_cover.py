@@ -19,8 +19,9 @@ is that cell's mirror.  The grid is the walk's grid ORed with its
 transpose; the window is a square, so a mirrored cell stays inside it.
 The transpose is `subsemigroups._transpose`, the one the member grids of
 the reflected forms use: it walks the marked cells when few are set, as
-on sparse specs, and reads the grid across as bit strings otherwise, so
-the mirror costs the smaller of the cells marked and the window's area.
+on sparse specs, and otherwise reads each column as one slice of the
+grid written out as a bit string, so the mirror costs the smaller of
+the cells marked and the window's area.
 
 Masks keep window + 1 bits: the product's row is x.j and its column at
 least y.j, and shifts only move bits up, so bits beyond the window never

@@ -12,12 +12,20 @@ engine in `_cover` turns into the reached rows of the report window; the
 report keeps those rows, and its gaps are read off them as (i, j) cells.
 Windows and pair bounds above `WINDOW_LIMIT` are refused before anything
 of that size is built.
+
+The reached rows of the last 16 scans are kept, keyed by the spec, the
+window and the rows and columns scanned, so a session that asks
+`coverage` and `crosscheck` about one spec and window scans once, as do
+pair bounds that scan the same rows.  The refusals run before the
+lookup, on every call, and each call gets a report of its own: the memo
+keeps ints only, never a report's gaps.  The closure probe and the
+decisions are not kept: no session repeats them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from . import _cover
@@ -42,6 +50,9 @@ __all__ = [
     "coverage",
     "cross_validate",
 ]
+
+# Distinct (spec, window, rows, cols) scans whose reached rows are kept.
+_REACHED_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -134,9 +145,15 @@ def coverage(
     # reflected, L + d + window on the reflected ones, which reach the
     # window from rows below it.  Rows past it add no product, so a
     # larger pair bound scans the same rows.
-    cols = min(window, pair_bound) + 1
-    members = _grid(spec, min(pair_bound, reach) + 1, cols)
-    return CoverageReport(window, pair_bound, tuple(_cover.cover_grid(members, window)))
+    rows = _reached(spec, window, min(pair_bound, reach) + 1, min(window, pair_bound) + 1)
+    return CoverageReport(window, pair_bound, rows)
+
+
+@lru_cache(maxsize=_REACHED_CACHE_SIZE)
+def _reached(spec: SubsemigroupSpec, window: int, rows: int, cols: int) -> tuple[int, ...]:
+    """The window rows reached by the members of the first `rows` rows
+    and `cols` columns: one scan per key, kept as ints only."""
+    return tuple(_cover.cover_grid(_grid(spec, rows, cols), window))
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ WINDOW_LIMIT = 500
 VALIDATE_CACHE_SIZE = 1024
 
 # `_transpose` walks the set bits of a grid with fewer than one cell in
-# this many set, and reads the others across as strings.
+# this many set, and reads the others by column slices of one string.
 _SPARSE = 16
 
 
@@ -547,8 +547,9 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 
     Each of the rows holds `width` bits; the result holds `width` masks
     of len(rows) bits.  A sparse grid is walked by its set bits, which
-    costs the cells set; any other is read across as bit strings, which
-    costs the area but runs at C speed per row.
+    costs the cells set; any other is written out as one bit string and
+    read by columns, each one C-level slice of it, which costs the area
+    but runs at C speed per column.
     """
     out = [0] * max(width, 0)
     # format(0, "00b") is "0", one column too many, so no strings here
@@ -561,10 +562,11 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
             for j in _set_bits(row):
                 out[j] |= bit
         return out
-    # format() writes column 0 last, so reading its strings across gives
-    # the columns from the last one down, each with row 0 first
-    columns = zip(*(format(row, f"0{width}b") for row in rows))
-    return [int("".join(bits)[::-1], 2) for bits in columns][::-1]
+    # format() writes column 0 last, so in the rows' strings joined from
+    # the last row down, column j is every width-th character from
+    # width - 1 - j on, with row 0 last
+    text = "".join([format(row, f"0{width}b") for row in reversed(rows)])
+    return [int(text[width - 1 - j :: width], 2) for j in range(width)]
 
 
 def _grid(spec: SubsemigroupSpec, rows: int, cols: int) -> list[int]:
@@ -624,9 +626,10 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     k are all safe on the first side iff the OR of their B(l) is a
     subset of row k, which one product with the row's least member as x
     checks.  A pass thus costs one product per nonempty member row and
-    one lookup per member.  Only a row that fails checks its members one
-    by one, and the first member that fails runs the per-row check
-    above, which names the first failing y in sorted order.
+    one lookup per member, or none when no offset escapes, as on every
+    closed window.  Only a row that fails checks its members one by one,
+    and the first member that fails runs the per-row check above, which
+    names the first failing y in sorted order.
     """
     require_valid(spec)
     _check_window(window)
@@ -650,12 +653,14 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
         o: next((m for m in range(window, l, -1) if rows[m] & ~span[m + o]), -1)
         for o, l in least.items()
     }
+    # with no offset escaping, every member passes its lookup
+    escaping = any(m >= 0 for m in last_escape.values())
     for k, cols in enumerate(columns):
         union = 0
         for l in cols:
             union |= blocks[l]
         # a nonzero union means the row has members
-        if all(last_escape[k - l] <= l for l in cols) and not (
+        if (not escaping or all(last_escape[k - l] <= l for l in cols)) and not (
             union and _escape(Element(k, cols[0]), cols[0], union, span)
         ):
             continue

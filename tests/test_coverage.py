@@ -1,5 +1,10 @@
+import gc
 import importlib
 import random
+import sys
+import tracemalloc
+
+import pytest
 
 from bicyclic import (
     Diagonal,
@@ -22,7 +27,8 @@ from bicyclic import RowOverride, hat_spec, validate
 from bicyclic import _cover
 from bicyclic.cli import _gap_lines, main
 from bicyclic.iorder import Condition, Decision
-from bicyclic.subsemigroups import WINDOW_LIMIT, _grid, _last_start
+from bicyclic.specfile import parse_spec_unchecked
+from bicyclic.subsemigroups import WINDOW_LIMIT, InvalidSpecError, _grid, _last_start
 import membership_oracle as oracle
 from golden import CORPUS_DIR
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
@@ -34,6 +40,9 @@ R1 = Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0))
 B_PLUS = Upper(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(0))
 # the reflection of an upper spec whose row 0 starts at column 1000
 FAR_ROW0 = Lower(fs(), IndexSet(fs(), fs({0}), 0, 1), RowData(0, (RowOverride(0, 1000),)))
+# the package's `coverage` attribute is the function, so the module comes
+# from the import system
+COVERAGE = importlib.import_module("bicyclic.coverage")
 
 
 def brute_force_covered(spec, window, pair_bound):
@@ -281,6 +290,109 @@ def test_reflected_scan_stops_at_the_last_row_it_needs():
     assert reach > 300 and trimmed > 100, (reach, trimmed)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """An empty scan memo, and the windows of the engine calls made after it."""
+    calls = []
+    kernel = _cover.cover_grid
+
+    def counting(rows, window):
+        calls.append(window)
+        return kernel(rows, window)
+
+    monkeypatch.setattr(_cover, "cover_grid", counting)
+    COVERAGE._reached.cache_clear()
+    yield calls
+    COVERAGE._reached.cache_clear()
+
+
+def test_scan_memo_is_bounded():
+    COVERAGE._reached.cache_clear()
+    for window in range(COVERAGE._REACHED_CACHE_SIZE + 8):
+        coverage(R1, window)
+    info = COVERAGE._reached.cache_info()
+    assert info.misses == COVERAGE._REACHED_CACHE_SIZE + 8
+    assert info.currsize == COVERAGE._REACHED_CACHE_SIZE
+
+
+def test_scan_memo_keeps_ints_and_each_call_gets_its_own_report(corpus_specs):
+    COVERAGE._reached.cache_clear()
+    spec = corpus_specs["lower_column0"]
+    first, second = coverage(spec, 6), coverage(spec, 6)
+    assert first is not second and first.rows is second.rows
+    assert type(first.rows) is tuple and all(type(row) is int for row in first.rows)
+    # one report's gaps are built on that report, never in the memo
+    assert Element(1, 1) in first.gaps
+    assert "gaps" not in vars(second)
+
+
+def test_commands_share_a_scan(kernel_calls, corpus_specs, capsys):
+    spec = corpus_specs["lower_column0"]
+    cross_validate(spec, 8)
+    coverage(spec, 8)
+    assert len(kernel_calls) == 1
+    # on r1, `--pairs 40` and the default bound 48 scan the same rows at
+    # window 6, and each report prints its own bound
+    r1 = str(CORPUS_DIR / "r1.spec")
+    assert main(["coverage", r1, "--window", "6", "--pairs", "40"]) == 0
+    assert main(["coverage", r1, "--window", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "pair_bound=40\n" in out and "pair_bound=48\n" in out
+    assert len(kernel_calls) == 2
+    # a new window, a new spec, or a pair bound that cuts rows scans again
+    coverage(spec, 9)
+    coverage(corpus_specs["b_plus"], 8)
+    coverage(spec, 8, pair_bound=5)
+    assert kernel_calls == [8, 6, 9, 8, 8]
+    cross_validate(spec, 8)
+    coverage(corpus_specs["r1"], 6, pair_bound=40)
+    assert len(kernel_calls) == 5
+
+
+def test_refusals_are_not_cached(kernel_calls, corpus_specs):
+    spec = corpus_specs["r1"]
+    coverage(spec, 6)
+    invalid = parse_spec_unchecked((CORPUS_DIR / "invalid_q_not_in_I.spec").read_text())
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"window {WINDOW_LIMIT + 1} exceeds the limit"):
+            coverage(spec, WINDOW_LIMIT + 1)
+        with pytest.raises(ValueError, match=f"pair bound {WINDOW_LIMIT + 1} exceeds the limit"):
+            coverage(spec, 6, pair_bound=WINDOW_LIMIT + 1)
+        with pytest.raises(InvalidSpecError):
+            coverage(invalid, 6)
+        assert COVERAGE._reached.cache_info().currsize == 1
+    assert len(kernel_calls) == 1
+
+
+def test_scan_memo_holds_under_a_megabyte(corpus_specs):
+    # A full memo of window-500 scans on b_plus, whose window rows are all
+    # full: each entry is one tuple of 501 ints of 501 bits.  Under
+    # tracemalloc a scan keeps its tuple and the memo's few hundred bytes
+    # of bookkeeping, and nothing else of what it built; sixteen traced
+    # scans take about 6 s on a 2-core VM, so one is traced and the
+    # tuples of all sixteen are sized.
+    spec = corpus_specs["b_plus"]
+    COVERAGE._reached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        coverage(spec, WINDOW_LIMIT, WINDOW_LIMIT)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    bounds = range(WINDOW_LIMIT - COVERAGE._REACHED_CACHE_SIZE + 1, WINDOW_LIMIT + 1)
+    sizes = {}
+    for bound in bounds:
+        rows = coverage(spec, WINDOW_LIMIT, bound).rows
+        sizes[bound] = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    info = COVERAGE._reached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, len(bounds), len(bounds)), info
+    assert sizes[WINDOW_LIMIT] <= kept < sizes[WINDOW_LIMIT] + 1024, (kept, sizes[WINDOW_LIMIT])
+    assert sum(sizes.values()) < 1_000_000, sizes
+
+
 class TestCrossValidate:
     def test_r1_passes(self):
         assert cross_validate(R1, 6).passed
@@ -301,9 +413,7 @@ class TestCrossValidate:
         # products reach only row 0 and column 0, so 16 of the 25 cells
         # of window 4 are gaps
         wrong = Decision(True, "lower", (Condition("d-is-1", True), Condition("all-columns-present", True)))
-        # the package's `coverage` attribute is the function, so the module
-        # comes from the import system
-        monkeypatch.setattr(importlib.import_module("bicyclic.coverage"), "decide_left_iorder", lambda spec: wrong)
+        monkeypatch.setattr(COVERAGE, "decide_left_iorder", lambda spec: wrong)
         report = cross_validate(corpus_specs["lower_column0"], 4)
         assert not report.passed
         assert report.notes == ("yes verdict but 16 window gaps",)

@@ -216,7 +216,7 @@ def test_closure_probe_equals_the_pair_loop(corpus_specs):
     rng = random.Random(2024)
     # two-sided specs fail closure most often
     makers = (random_diagonal, random_row_family) + (random_two_sided,) * 4
-    failing = 0
+    failing = above = 0
     cases = 0
     while cases < 420:
         spec = makers[cases % len(makers)](rng)
@@ -228,10 +228,13 @@ def test_closure_probe_equals_the_pair_loop(corpus_specs):
             expected = oracle.closure_falsify(spec, window)
             assert closure_falsify(spec, window) == expected, (spec, window)
             failing += expected is not None
+            # y in a row above x.j: the side that the offset lookup checks
+            above += expected is not None and expected.y.i > expected.x.j
     for spec in corpus_specs.values():
         for window in (0, 3, 6, 10, 16):
             assert closure_falsify(spec, window) is None
     assert failing >= 350, failing
+    assert above >= 150, above
 
 
 @pytest.mark.parametrize(
