@@ -16,10 +16,16 @@ of that size is built.
 The reached rows of the last 16 scans are kept, keyed by the spec, the
 window and the rows and columns scanned, so a session that asks
 `coverage` and `crosscheck` about one spec and window scans once, as do
-pair bounds that scan the same rows.  The refusals run before the
-lookup, on every call, and each call gets a report of its own: the memo
-keeps ints only, never a report's gaps.  The closure probe and the
-decisions are not kept: no session repeats them.
+pair bounds that scan the same rows.  The bound, `_CACHE_SIZE`, is the
+one the parse cache in `specfile` uses: in the sessions measured, every
+repeat was the next command on the same spec.  Only a process that runs
+several commands hits the memo (a library session, or the benchmark's
+and the differential's workers); a one-command CLI process never does.
+A spec keeps its hash, so a lookup costs O(1) in the spec.  The
+refusals run before the lookup, on every call, and each call gets a
+report of its own: the memo keeps ints only, never a report's gaps.
+The closure probe and the decisions are not kept: no session repeats
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from . import _cover
 from .elements import Element
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import (
+    _CACHE_SIZE,
     ClosureFailure,
     SubsemigroupSpec,
     _check_limit,
@@ -50,9 +57,6 @@ __all__ = [
     "coverage",
     "cross_validate",
 ]
-
-# Distinct (spec, window, rows, cols) scans whose reached rows are kept.
-_REACHED_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def coverage(
     return CoverageReport(window, pair_bound, rows)
 
 
-@lru_cache(maxsize=_REACHED_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _reached(spec: SubsemigroupSpec, window: int, rows: int, cols: int) -> tuple[int, ...]:
     """The window rows reached by the members of the first `rows` rows
     and `cols` columns: one scan per key, kept as ints only."""

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .elements import Element
 from .subsemigroups import (
-    VALIDATE_CACHE_SIZE,
+    _CACHE_SIZE,
     Diagonal,
     DiagonalTail,
     IndexSet,
@@ -146,13 +146,19 @@ def _parse_row_line(tokens: list[tuple[str, str]], line_no: int) -> RowOverride:
     return RowOverride(row, m, extra)
 
 
-@lru_cache(maxsize=VALIDATE_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
     """Parse without running validation (the CLI classify path needs that).
 
-    Specs are immutable, so each text is parsed once per process and the
-    same spec comes back for it; a text with a syntax error raises every
-    time, as exceptions are not cached.
+    Specs are immutable, so the last `_CACHE_SIZE` texts (16, the bound
+    that coverage's scan memo shares) are kept and each gives back the
+    same spec object; that object keeps its own validation report, so
+    every later `validate` of the text costs O(1).  Only a process that
+    runs several commands hits the cache (a library session, or the
+    benchmark's and the differential's workers), each repeat being the
+    next command on the same text; a one-command CLI process parses
+    once.  A text with a syntax error raises every time, as exceptions
+    are not cached.
     """
     values: dict[str, str] = {}
     value_lines: dict[str, int] = {}

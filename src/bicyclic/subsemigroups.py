@@ -29,6 +29,11 @@ they stay out of `repr`, equality, hashing and pickling:
   _mirror          the class of the diagonal reflection (None on
                    diagonal, which reflection fixes)
   _corner          the p + default_m term of the default pair bound
+  _report          the spec's `ValidationReport`, which `validate`
+                   returns: computed on first read and then kept in
+                   the instance `__dict__`, as `_finite_columns` is,
+                   so it stays out of `repr`, equality and hashing
+                   but travels in pickles
 
 The classification guarantees every subsemigroup has one of these
 shapes; the converse is not guaranteed, so the decision procedures
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from .elements import Element, hat, multiply
@@ -73,8 +78,9 @@ __all__ = [
 # Largest window or pair bound that window-sized work accepts.
 WINDOW_LIMIT = 500
 
-# Distinct specs whose validation reports are kept.
-VALIDATE_CACHE_SIZE = 1024
+# Texts and scans whose results the parse cache and coverage's scan
+# memo keep: each one's repeats are the next operations on one spec.
+_CACHE_SIZE = 16
 
 # `_transpose` walks the set bits of a grid with fewer than one cell in
 # this many set, and reads the others by column slices of one string.
@@ -137,6 +143,12 @@ class RowData:
 
     m_default: int = 0
     overrides: tuple[RowOverride, ...] = ()
+
+    # the generated hash, computed once: it would walk every override
+    _hash = cached_property(lambda self: hash((self.m_default, self.overrides)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def _by_row(self) -> dict[int, RowOverride]:
@@ -221,6 +233,8 @@ class Diagonal:
     _mirror = None
     _corner = 0
 
+    _report = cached_property(lambda self: _validate_diagonal(self))
+
     @cached_property
     def _finite_columns(self) -> dict[int, list[int]]:
         return _columns_by_row(self.elements)
@@ -247,6 +261,8 @@ class _RowFamily:
     rows: RowData = field(default_factory=RowData)
 
     reflected = False
+
+    _report = cached_property(lambda self: _validate_row_family(self))
 
     @property
     def step(self) -> int:
@@ -307,6 +323,8 @@ class _TwoSided:
     triangle_part: frozenset[Element] = frozenset()
 
     reflected = False
+
+    _report = cached_property(lambda self: _validate_two_sided(self))
 
     @property
     def _corner(self) -> int:
@@ -494,16 +512,15 @@ def _validate_two_sided(spec: _TwoSided) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
-@lru_cache(maxsize=VALIDATE_CACHE_SIZE)
 def validate(spec: SubsemigroupSpec) -> ValidationReport:
-    """Check every parameter constraint; violations come back as data."""
-    if isinstance(spec, Diagonal):
-        return _validate_diagonal(spec)
-    if isinstance(spec, _RowFamily):
-        return _validate_row_family(spec)
-    if isinstance(spec, _TwoSided):
-        return _validate_two_sided(spec)
-    raise TypeError(f"not a subsemigroup spec: {spec!r}")
+    """Check every parameter constraint; violations come back as data.
+
+    Each spec keeps its report (`_report`), so only its first call runs
+    the checks, and a later one costs O(1) whatever the spec's size.
+    """
+    if not isinstance(spec, (Diagonal, _RowFamily, _TwoSided)):
+        raise TypeError(f"not a subsemigroup spec: {spec!r}")
+    return spec._report
 
 
 def require_valid(spec: SubsemigroupSpec) -> None:

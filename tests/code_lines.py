@@ -1,11 +1,14 @@
 """Count the code lines of a package's modules.
 
     python3 tests/code_lines.py SRC
+    python3 tests/code_lines.py OLD_SRC NEW_SRC
 
 A code line is a line that holds a token other than a comment, a line
 break or an indent, and is not part of a docstring: the string that
-opens a module, class or function body.  Prints one `module=lines` line
-for each module under SRC, then `total=`.
+opens a module, class or function body.  With one SRC, prints one
+`module=lines` line for each module under it, then `total=`.  With two,
+prints `module=old -> new` for each module under either (a module that
+a tree lacks counts 0), then `total=old -> new (delta)`.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -52,17 +55,26 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(path.read_text(encoding="utf-8"))))
 
 
+def _counts(root: Path) -> dict[str, int]:
+    """The code lines of each module under `root`, keyed by relative path."""
+    return {path.relative_to(root).as_posix(): code_lines(path) for path in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tests/code_lines.py SRC", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print("usage: python3 tests/code_lines.py SRC | OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
-    root = Path(argv[0])
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{path.relative_to(root).as_posix()}={count}")
-    print(f"total={total}")
+    if len(argv) == 1:
+        counts = _counts(Path(argv[0]))
+        for name, count in counts.items():
+            print(f"{name}={count}")
+        print(f"total={sum(counts.values())}")
+        return 0
+    old, new = (_counts(Path(src)) for src in argv)
+    for name in sorted(old.keys() | new.keys()):
+        print(f"{name}={old.get(name, 0)} -> {new.get(name, 0)}")
+    before, after = sum(old.values()), sum(new.values())
+    print(f"total={before} -> {after} ({after - before:+d})")
     return 0
 
 

@@ -28,7 +28,7 @@ from bicyclic import _cover
 from bicyclic.cli import _gap_lines, main
 from bicyclic.iorder import Condition, Decision
 from bicyclic.specfile import parse_spec_unchecked
-from bicyclic.subsemigroups import WINDOW_LIMIT, InvalidSpecError, _grid, _last_start
+from bicyclic.subsemigroups import _CACHE_SIZE, WINDOW_LIMIT, InvalidSpecError, _grid, _last_start
 import membership_oracle as oracle
 from golden import CORPUS_DIR
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
@@ -308,11 +308,13 @@ def kernel_calls(monkeypatch):
 
 def test_scan_memo_is_bounded():
     COVERAGE._reached.cache_clear()
-    for window in range(COVERAGE._REACHED_CACHE_SIZE + 8):
+    for window in range(_CACHE_SIZE + 8):
         coverage(R1, window)
     info = COVERAGE._reached.cache_info()
-    assert info.misses == COVERAGE._REACHED_CACHE_SIZE + 8
-    assert info.currsize == COVERAGE._REACHED_CACHE_SIZE
+    assert info.misses == _CACHE_SIZE + 8
+    assert info.currsize == _CACHE_SIZE
+    # one bound serves the scan memo and the parse cache
+    assert info.maxsize == parse_spec_unchecked.cache_info().maxsize == _CACHE_SIZE
 
 
 def test_scan_memo_keeps_ints_and_each_call_gets_its_own_report(corpus_specs):
@@ -382,7 +384,7 @@ def test_scan_memo_holds_under_a_megabyte(corpus_specs):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    bounds = range(WINDOW_LIMIT - COVERAGE._REACHED_CACHE_SIZE + 1, WINDOW_LIMIT + 1)
+    bounds = range(WINDOW_LIMIT - _CACHE_SIZE + 1, WINDOW_LIMIT + 1)
     sizes = {}
     for bound in bounds:
         rows = coverage(spec, WINDOW_LIMIT, bound).rows

@@ -10,6 +10,7 @@ import gc
 import importlib
 import random
 import time
+import weakref
 
 import pytest
 
@@ -42,7 +43,7 @@ from bicyclic import (
 )
 from bicyclic.cli import main
 from bicyclic.specfile import SpecSyntaxError, parse_spec_unchecked
-from bicyclic.subsemigroups import VALIDATE_CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _grid, _set_bits, _transpose
+from bicyclic.subsemigroups import _CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _grid, _set_bits, _transpose
 from golden import CORPUS_DIR
 from test_cli import INT_STR_DIGITS, needs_int_str_limit
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
@@ -479,15 +480,13 @@ def test_render_reads_each_override_once():
     assert rendered == render_window(parse_spec(header), WINDOW_LIMIT)
 
 
-def test_validate_cache_is_bounded():
-    # the parse cache too, which hands back one spec per text
-    validate.cache_clear()
+def test_parse_cache_is_bounded():
+    # the parse cache hands back one spec object per text
     parse_spec_unchecked.cache_clear()
-    texts = [f"form=diagonal\nelements=({k},{k})\n" for k in range(VALIDATE_CACHE_SIZE + 50)]
+    texts = [f"form=diagonal\nelements=({k},{k})\n" for k in range(_CACHE_SIZE + 50)]
     for text in texts:
         validate(parse_spec_unchecked(text))
-    assert validate.cache_info().currsize == VALIDATE_CACHE_SIZE
-    assert parse_spec_unchecked.cache_info().currsize == VALIDATE_CACHE_SIZE
+    assert parse_spec_unchecked.cache_info().currsize == _CACHE_SIZE
     last = texts[-1]
     assert parse_spec_unchecked(last) is parse_spec_unchecked(last)
     assert parse_spec(last) is parse_spec_unchecked(last)
@@ -495,6 +494,65 @@ def test_validate_cache_is_bounded():
     for _ in range(2):
         with pytest.raises(SpecSyntaxError):
             parse_spec_unchecked("form=diagonal\nelements=(0,0\n")
+
+
+def test_each_spec_validates_once(monkeypatch):
+    # the report is kept on the spec: equal but distinct specs run the
+    # checks once each, however often they are validated
+    subsemigroups = importlib.import_module("bicyclic.subsemigroups")
+    checked = []
+    check = subsemigroups._validate_diagonal
+
+    def counting(spec):
+        checked.append(spec)
+        return check(spec)
+
+    monkeypatch.setattr(subsemigroups, "_validate_diagonal", counting)
+    first, second = (Diagonal(fs({Element(k, k) for k in range(3)})) for _ in range(2))
+    assert first == second and first is not second
+    for spec in (first, second, first, second):
+        assert validate(spec) is validate(spec)
+        decide_left_iorder(spec)
+    assert len(checked) == 2 and checked[0] is first and checked[1] is second
+
+
+def test_caches_keep_the_last_specs_alive_and_no_others():
+    # the parse cache and the scan memo each keep their last _CACHE_SIZE
+    # entries, which name the same specs; a report lives on its spec
+    parse_spec_unchecked.cache_clear()
+    header = "form=upper\nd=1 N=0 I0= R=0\n"
+    refs = []
+    for n in range(_CACHE_SIZE + 24):
+        spec = parse_spec(header + "".join(f"row={k} m={k + n + 1}\n" for k in range(200)))
+        coverage(spec, 2)
+        decide_left_iorder(spec)
+        refs.append(weakref.ref(spec))
+    del spec
+    gc.collect()
+    assert [n for n, ref in enumerate(refs) if ref() is not None] == list(range(24, _CACHE_SIZE + 24))
+
+
+def test_warm_calls_rehash_no_override(monkeypatch):
+    # RowData keeps its hash, so the scan memo's key costs O(1) in the
+    # spec: rehashing 20,000 overrides on each call took about 3 ms
+    parse_spec_unchecked.cache_clear()
+    header = "form=upper\nd=1 N=0 I0= R=0\n"
+    spec = parse_spec(header + "".join(f"row={k} m={k + 1} F=({k},{k})\n" for k in range(ROW0_SIZE)))
+    hashes = 0
+    generated = RowOverride.__hash__
+
+    def counting(self):
+        nonlocal hashes
+        hashes += 1
+        return generated(self)
+
+    monkeypatch.setattr(RowOverride, "__hash__", counting)
+    first = coverage(spec, 20)
+    assert hashes == ROW0_SIZE
+    hashes = 0
+    assert coverage(spec, 20).rows is first.rows
+    assert validate(spec).ok and decide_left_iorder(spec).verdict
+    assert hashes == 0
 
 
 R1 = Upper(fs(), IndexSet(fs({0}), fs(), 1, 1), RowData(0))

@@ -1,8 +1,13 @@
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bicyclic
 from bicyclic import (
     Diagonal,
     DiagonalTail,
@@ -285,6 +290,39 @@ class TestFormData:
             copy = pickle.loads(pickle.dumps(spec))
             assert repr(spec) == repr(copy) == text
             assert copy == spec and hash(copy) == hash(spec) and type(copy) is type(spec)
+
+    def test_pickled_report_and_hash_hold_under_another_hash_seed(self):
+        # After `validate` and `hash`, a spec carries its report, and an
+        # upper spec its rows' hash, in `__dict__`.  Both hash ints only, so
+        # a process with another hash seed unpickles a spec equal to a fresh
+        # one, with the same `repr`, report and hash.
+        cases = []
+        for spec, text in FORM_SPECS.values():
+            validate(spec)
+            cases.append((spec, text, hash(spec)))
+        upper = FORM_SPECS["upper"][0]
+        assert "_report" in vars(upper) and "_hash" in vars(upper.rows)
+        script = (
+            "import pickle, sys\n"
+            "from bicyclic.elements import Element\n"
+            "from bicyclic.subsemigroups import *\n"
+            "cases = pickle.load(sys.stdin.buffer)\n"
+            "for copy, text, parent_hash in cases:\n"
+            "    fresh = eval(text)\n"
+            "    assert copy == fresh and repr(copy) == text, text\n"
+            "    assert validate(copy) is vars(copy)['_report'], text\n"
+            "    assert validate(copy) == validate(fresh), text\n"
+            "    assert hash(copy) == hash(fresh) == parent_hash, text\n"
+            "print(len(cases))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = Path(bicyclic.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(cases), env=env, capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == f"{len(cases)}\n".encode()
 
     def test_mirrors(self):
         for form, (spec, _) in FORM_SPECS.items():
