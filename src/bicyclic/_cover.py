@@ -7,10 +7,10 @@ The set comes as its row masks, the form every membership query in
 
 For x = (a, c) and a member y = (r, n) with r <= a, inverse(x) * y is
 (c, n + a - r): it lands in row c with the columns of y shifted up by
-a - r.  With R[r] the column mask of row r, walking the rows upward with
-below = ((below << 1) & full) | R[a] yields, on reaching row a, the OR
-over r <= a of R[r] << (a - r), which is ORed into row c for every
-member (a, c).
+a - r.  With R[r] the column mask of row r, the columns all such y
+reach in row c are B(a), the OR over r <= a of R[r] << (a - r), which
+`subsemigroups._blocks` gives for every row at once; the walk ORs B(a)
+into row c for every member (a, c).
 
 The pairs with r > a need no second recurrence, as the set is closed
 under inverse: inverse(inverse(x) * y) = inverse(y) * x, and (y, x) is
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .subsemigroups import _set_bits, _transpose
+from .subsemigroups import _blocks, _set_bits, _transpose
 
 
 def cover_grid(rows: Sequence[int], window: int) -> list[int]:
@@ -45,12 +45,7 @@ def cover_grid(rows: Sequence[int], window: int) -> list[int]:
     size = window + 1
     full = (1 << size) - 1
     out = [0] * size
-    below = 0
-    for row in rows:
-        row &= full
-        below |= row
-        for c in _set_bits(row):
-            out[c] |= below
-        below = (below << 1) & full
-
+    for row, block in zip(rows, _blocks(rows, size)):
+        for c in _set_bits(row & full):
+            out[c] |= block
     return [row | col for row, col in zip(out, _transpose(out, size))]

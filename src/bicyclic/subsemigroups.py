@@ -586,6 +586,25 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return [int(text[width - 1 - j :: width], 2) for j in range(width)]
 
 
+def _blocks(rows: Sequence[int], width: int) -> list[int]:
+    """Per row a, B(a) = OR over r <= a of rows[r] << (a - r), cut to `width` bits.
+
+    B(a) = (B(a - 1) << 1) | rows[a], cut each time: shifts only move
+    bits up, so a bit cut from one block is past `width` in every later
+    one.  With rows[r] the column mask of member row r, B(a) marks the
+    columns that the members y = (r, n) with r <= a reach shifted up by
+    a - r, which is where both the coverage engine's inverse(x) * y for
+    x = (a, c) and the closure probe's x * y for x = (k, a) put them.
+    """
+    full = (1 << width) - 1
+    out = []
+    block = 0
+    for row in rows:
+        block = ((block << 1) | row) & full
+        out.append(block)
+    return out
+
+
 def _grid(spec: SubsemigroupSpec, rows: int, cols: int) -> list[int]:
     """Column masks of rows 0 .. rows-1, over columns 0 .. cols-1."""
     if not spec.reflected:
@@ -630,9 +649,9 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     x, one per side of t:
 
     - m <= l: y lands in row k at column n + l - m, so every such row
-      is safe iff B(l) = OR over m <= l of R[m] << (l - m) is a subset
-      of row k.  B(l) = (B(l - 1) << 1) | R[l], and read as a virtual
-      row l it is checked by the same product with its least member.
+      is safe iff B(l) = OR over m <= l of R[m] << (l - m), from
+      `_blocks`, is a subset of row k.  Read as a virtual row l, it is
+      checked by the same product with its least member.
     - m > l: y lands in row m + o at column n, with o = k - l, so every
       such row is safe iff no m > l has R[m] outside row m + o.  The
       largest m that breaks this depends on o alone, so it is found
@@ -654,13 +673,10 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     span = _grid(spec, 2 * window + 1, 2 * window + 1)
     rows = [row & ((1 << size) - 1) for row in span[:size]]
     columns = [list(_set_bits(row)) for row in rows]
-    # blocks[l] is B(l); last_escape[o] is the largest m, above the least l
-    # of the members with offset o, whose R[m] is outside row m + o, or -1
-    blocks = []
-    block = 0
-    for row in rows:
-        block = (block << 1) | row
-        blocks.append(block)
+    # blocks[l] is B(l), which fits in 2 * window + 1 bits; last_escape[o]
+    # is the largest m, above the least l of the members with offset o,
+    # whose R[m] is outside row m + o, or -1
+    blocks = _blocks(rows, 2 * window + 1)
     # in (k, l) order the first member with offset o has the least l
     least: dict[int, int] = {}
     for k, cols in enumerate(columns):

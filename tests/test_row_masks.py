@@ -43,7 +43,7 @@ from bicyclic import (
 )
 from bicyclic.cli import main
 from bicyclic.specfile import SpecSyntaxError, parse_spec_unchecked
-from bicyclic.subsemigroups import _CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _grid, _set_bits, _transpose
+from bicyclic.subsemigroups import _CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _blocks, _grid, _set_bits, _transpose
 from golden import CORPUS_DIR
 from test_cli import INT_STR_DIGITS, needs_int_str_limit
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
@@ -187,6 +187,25 @@ def test_transpose_equals_both_earlier_methods():
         assert _transpose(out, len(rows)) == rows
     assert 100 < sparse < len(grids) - 100
 
+
+
+def test_blocks_equal_their_definition():
+    rng = random.Random(29)
+    cases = [([], 0), ([], 5), ([0b1], 1), ([0, 0, 0], 1), ([0] * 6, 9), ([0b111, 0, 0b1], 1)]
+    for _ in range(400):
+        height, width = rng.randint(1, 40), rng.randint(1, 40)
+        # rows up to twice as wide as the cut, with some all zero
+        rows = [rng.getrandbits(rng.randint(1, 2 * width)) if rng.random() < 0.7 else 0 for _ in range(height)]
+        cases.append((rows, width))
+    for rows, width in cases:
+        full = (1 << width) - 1
+        expected = []
+        for a in range(len(rows)):
+            block = 0
+            for r in range(a + 1):
+                block |= rows[r] << (a - r)
+            expected.append(block & full)
+        assert _blocks(rows, width) == expected, (rows, width)
 
 def test_scalar_membership_far_out_equals_the_oracle(corpus_specs):
     specs = list(corpus_specs.values()) + random_specs(13, 400)
