@@ -89,8 +89,7 @@ def _cmd_witness(args) -> int:
         print("witness=refused")
         return 1
     if not verify_witness(spec, w):
-        print(f"error=witness failed verification: {w}", file=sys.stderr)
-        return 2
+        raise ValueError(f"witness failed verification: {w}")
     print(w)
     return 0
 

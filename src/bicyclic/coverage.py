@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
-from . import _cover
+from . import _EXPORTS, _cover
 from .elements import Element
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import (
@@ -50,13 +50,7 @@ from .subsemigroups import (
     require_valid,
 )
 
-__all__ = [
-    "CoverageReport",
-    "CrossCheckReport",
-    "default_pair_bound",
-    "coverage",
-    "cross_validate",
-]
+__all__ = list(_EXPORTS["coverage"])
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,9 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-__all__ = [
-    "Element",
-    "GreenRelations",
-    "multiply",
-    "inverse",
-    "hat",
-    "green",
-    "parse_element",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["elements"])
 
 
 @dataclass(frozen=True, order=True)

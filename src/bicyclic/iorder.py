@@ -24,18 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from . import _EXPORTS
 from .elements import Element
 from .subsemigroups import SubsemigroupSpec, require_valid
 
-__all__ = [
-    "Condition",
-    "Certificate",
-    "Decision",
-    "decide_left_iorder",
-    "decide_right_iorder",
-    "hat_spec",
-    "decision_lines",
-]
+__all__ = list(_EXPORTS["iorder"])
 
 REASON_PARITY = "parity"
 REASON_EMPTY_L_CLASS = "empty-L-class"

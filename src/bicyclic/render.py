@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .subsemigroups import SubsemigroupSpec, _check_window, _grid, require_valid
 
-__all__ = ["render_window"]
+__all__ = list(_EXPORTS["render"])
 
 _MARKS = str.maketrans("01", ".#")
 

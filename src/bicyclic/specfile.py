@@ -23,6 +23,7 @@ import re
 from functools import lru_cache
 from typing import Optional
 
+from . import _EXPORTS
 from .elements import Element
 from .subsemigroups import (
     _CACHE_SIZE,
@@ -39,13 +40,7 @@ from .subsemigroups import (
     validate,
 )
 
-__all__ = [
-    "SpecError",
-    "SpecSyntaxError",
-    "SpecValidationError",
-    "parse_spec",
-    "parse_spec_unchecked",
-]
+__all__ = list(_EXPORTS["specfile"])
 
 
 class SpecError(Exception):

@@ -52,28 +52,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
+from . import _EXPORTS
 from .elements import Element, hat, multiply
 
-__all__ = [
-    "IndexSet",
-    "RowOverride",
-    "RowData",
-    "DiagonalTail",
-    "Diagonal",
-    "Upper",
-    "Lower",
-    "TwoSidedI",
-    "TwoSidedII",
-    "SubsemigroupSpec",
-    "ValidationReport",
-    "ClosureFailure",
-    "InvalidSpecError",
-    "validate",
-    "require_valid",
-    "contains",
-    "closure_falsify",
-    "WINDOW_LIMIT",
-]
+__all__ = list(_EXPORTS["subsemigroups"])
 
 # Largest window or pair bound that window-sized work accepts.
 WINDOW_LIMIT = 500

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .elements import Element, green, inverse, multiply
 from .iorder import Decision, decide_left_iorder
 from .subsemigroups import SubsemigroupSpec, contains, require_valid
 
-__all__ = ["Witness", "NotLeftIOrderError", "decompose", "verify_witness"]
+__all__ = list(_EXPORTS["witness"])
 
 SCHEME_ROW0 = "row0"
 

@@ -7,9 +7,10 @@ finds it in one left-to-right scan; the `normalize` command uses it.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .elements import Element
 
-__all__ = ["word_normalize"]
+__all__ = list(_EXPORTS["words"])
 
 
 def word_normalize(word: str) -> Element:

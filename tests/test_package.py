@@ -90,6 +90,21 @@ def test_every_pinned_name_is_its_home_submodules_object():
     assert public == sorted(PINNED)
 
 
+def test_star_import_of_each_home_binds_exactly_its_pinned_names():
+    bound = fresh(
+        f"""
+        import json
+        bound = {{}}
+        for home in {list(HOMES)!r}:
+            names = {{}}
+            exec(f"from bicyclic.{{home}} import *", names)
+            bound[home] = sorted(set(names) - {{"__builtins__"}})
+        print(json.dumps(bound))
+        """
+    )
+    assert bound == {home: sorted(names.split()) for home, names in HOMES.items()}
+
+
 def test_submodules_still_import_from_the_package():
     kinds = fresh(
         """
