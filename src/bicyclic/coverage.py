@@ -1,4 +1,4 @@
-"""Brute-force coverage oracle and decision cross-validation.
+"""Window coverage by the row-bitset engine, and decision cross-validation.
 
 Coverage scans the subsemigroup inside a generous pair window and marks
 every product inverse(x) * y that lands in the report window.  For a left

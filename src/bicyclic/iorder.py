@@ -17,6 +17,11 @@ inverse(x) * y can reach.  Each form's decider returns its conditions
 and certificate, and `_decision` alone forms the verdict from them,
 checking that the two agree.  The right question reduces to the left
 one for the reflected spec, since reflection is an anti-isomorphism.
+Every spec holds its data in the upper orientation, and the deciders
+read only that data (the fields, the rows `_start`, `_finite_columns`
+and `row_bits` give, and the parameters), never `reflected` or the
+class; so the right question runs the mirror form's decider on the
+spec itself, and no reflected copy is built.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ class Certificate:
     """Why the verdict is no: a failed condition, optionally witnessed.
 
     The `uncovered` element, when present, is provably not of the form
-    inverse(x) * y over the subsemigroup and can be confirmed against the
-    brute-force coverage oracle.
+    inverse(x) * y over the subsemigroup and can be confirmed against
+    `coverage`'s window scan.
     """
 
     failed_condition: str
@@ -206,12 +211,15 @@ def hat_spec(spec: SubsemigroupSpec) -> SubsemigroupSpec:
 def decide_right_iorder(spec: SubsemigroupSpec) -> Decision:
     """S is a right I-order iff its reflection is a left I-order.
 
-    `hat_spec` validates the spec, and the reflection needs no second
-    check: it keeps every field, and validation reads only the fields
-    and the form family.
+    The reflection `hat_spec` builds has the spec's fields under the
+    mirror class, and a decider reads the fields and the upper-orientation
+    rows only, never the class, so the mirror form's decider runs on the
+    spec itself.  Validation runs first, so a non-spec raises its
+    TypeError before `_mirror` is read.
     """
-    mirror = hat_spec(spec)
-    return _decision(mirror.form, *_DECIDERS[mirror.form](mirror))
+    require_valid(spec)
+    form = (spec._mirror or type(spec)).form
+    return _decision(form, *_DECIDERS[form](spec))
 
 
 def decision_lines(decision: Decision, side: str = "left") -> list[str]:

@@ -439,7 +439,6 @@ def _validate_row_family(spec: _RowFamily) -> ValidationReport:
         return ValidationReport(tuple(violations))
 
     lo = idx.min()
-    assert lo is not None
     _validate_fd(spec.diagonal_part, lo, f"min(I)={lo}", violations, notes)
 
     seen_rows = set()

@@ -10,12 +10,22 @@ parts), once against each tree; the variants that name no spec run once.
 Each tree runs in its own subprocess, with only its `src` on the import
 path.  Exit code, stdout and stderr are compared run by run.  A run whose
 CLI raises records `raised <ExceptionType>` as its exit code, with empty
-digests, and the next run goes on.  The script prints `runs=`,
-`differences=` and `crashes=` (the runs of NEW_SRC that raised), then one
-`diff=` line per differing run and one `crash=` line per crash, the
-first ten of each.  It exits 1 on any difference, and on any crash of
-NEW_SRC even where OLD_SRC crashed the same way: every argv should end
-in exit 0, 1 or 2.
+digests, and the next run goes on.
+
+An intended output change is declared in `declared_differences.json`,
+next to this script: a JSON list of [name, argv] pairs, keyed as the
+`diff=` lines key them.  No file declares no difference.  The runs that
+differ must be exactly the declared ones, so a declaration that no
+longer differs fails the next comparison and cannot linger.
+
+The script prints `runs=`, `differences=` and `crashes=` (the runs of
+NEW_SRC that raised), then `declared=`, the number of declared runs,
+then one `undeclared=` line per differing run that is not declared, one
+`missing=` line per declared run that does not differ, one `diff=` line
+per differing run and one `crash=` line per crash, the first ten of
+each.  It exits 1 unless the differing runs are the declared ones, and
+on any crash of NEW_SRC even where OLD_SRC crashed the same way: every
+argv should end in exit 0, 1 or 2.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -32,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 SHOWN = 10
+
+DECLARED = Path(__file__).with_name("declared_differences.json")
 
 # Argvs off the pinned shapes, for argparse to read: abbreviations, `=`,
 # options before the file, `--`, help, unknown and missing commands,
@@ -55,6 +67,19 @@ VARIANTS = (
     + [["render", "SPEC", "--window", v] for v in ("-1", "x", "٣", "+3", " 3", "3_0", "", "1" * 4301)]
     + [["coverage", "SPEC", "--window", "3", "--pairs", v] for v in ("-2", "y", "٤")]
 )
+
+
+def declared_mismatch(differing: list, declared: list) -> tuple[list, list]:
+    """The differing runs that are not declared, and the declared runs
+    that do not differ, each in its list's order.
+
+    Runs are [name, argv] pairs; the comparison passes when both are empty.
+    """
+    differ = {tuple(run) for run in differing}
+    expected = {tuple(run) for run in declared}
+    undeclared = [run for run in differing if tuple(run) not in expected]
+    missing = [run for run in declared if tuple(run) not in differ]
+    return undeclared, missing
 
 
 def _outcome(argv: list[str], path: Path) -> list:
@@ -132,14 +157,21 @@ def main() -> int:
         raise SystemExit(f"error=run counts differ: {len(old)} against {len(new)}")
     differing = [a[:2] for a, b in zip(old, new) if a != b]
     crashes = [b for b in new if str(b[2]).startswith("raised ")]
+    declared = json.loads(DECLARED.read_text(encoding="utf-8")) if DECLARED.exists() else []
+    undeclared, missing = declared_mismatch(differing, declared)
     print(f"runs={len(old)}")
     print(f"differences={len(differing)}")
     print(f"crashes={len(crashes)}")
+    print(f"declared={len(declared)}")
+    for name, argv in undeclared[:SHOWN]:
+        print(f"undeclared={name}: {argv}")
+    for name, argv in missing[:SHOWN]:
+        print(f"missing={name}: {argv}")
     for name, argv in differing[:SHOWN]:
         print(f"diff={name}: {argv}")
     for name, argv, code, *_ in crashes[:SHOWN]:
         print(f"crash={name}: {argv}: {code}")
-    return int(bool(differing or crashes))
+    return int(bool(undeclared or missing or crashes))
 
 
 if __name__ == "__main__":

@@ -114,6 +114,7 @@ def test_classify_invalid_is_refuted(capsys):
                 "violation=FD on the diagonal fails: (0,1) is off the diagonal",
             ],
         ),
+        ("form=upper\nd=0 N=1 I0=0\n", ["form=upper", "valid=no", "violation=d >= 1 fails: d=0"]),
         (
             "form=upper\nd=1 N=1 I0=0 R=\nrow=0 m=0\nrow=0 m=1\n",
             ["form=upper", "valid=no", "violation=duplicate row override fails: row 0"],
@@ -140,7 +141,7 @@ def test_classify_invalid_is_refuted(capsys):
             ],
         ),
     ],
-    ids=["tail_d", "FD-off-diagonal", "duplicate-row", "twosided-d", "q-above-p", "F-outside-triangle"],
+    ids=["tail_d", "FD-off-diagonal", "upper-d", "duplicate-row", "twosided-d", "q-above-p", "F-outside-triangle"],
 )
 def test_classify_names_each_violation(text, lines, tmp_path, capsys):
     path = tmp_path / "invalid.spec"

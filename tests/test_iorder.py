@@ -73,9 +73,10 @@ def test_right_is_left_of_reflection(corpus_specs):
 
 
 def test_validation_is_blind_to_reflection():
-    # decide_right_iorder checks the spec, then decides its reflection
-    # unchecked: on valid and invalid random specs of all five forms, the
-    # reflection built from the same fields reads the same report
+    # decide_right_iorder checks the spec, then runs the mirror form's
+    # decider on the spec itself: on valid and invalid random specs of all
+    # five forms, the reflection built from the same fields reads the same
+    # report and gets the same right decision
     rng = random.Random(71)
     seen = set()
     for _ in range(600):

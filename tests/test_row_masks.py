@@ -535,6 +535,70 @@ def test_each_spec_validates_once(monkeypatch):
     assert len(checked) == 2 and checked[0] is first and checked[1] is second
 
 
+WARM_SIZE = 2000
+
+
+def _warm_text(form):
+    """Spec text of `form` with about WARM_SIZE finite members."""
+    if form == "diagonal":
+        return "form=diagonal\nelements=" + ",".join(f"({k},{k})" for k in range(WARM_SIZE)) + "\n"
+    if form in ("upper", "lower"):
+        # row 0 is left out of I, so column 0 of the lower form is missing
+        rows = "".join(f"row={k} m={k + 2} F=({k},{k})\n" for k in range(1, WARM_SIZE + 1))
+        return f"form={form}\nd=1 N=2 I0=1 R=0\n" + rows
+    # the full triangle: p = 60 keeps the default pair bound under 500
+    triangle = ",".join(f"({i},{j})" for i in range(60) for j in range(i, 60))
+    return f"form={form}\nq=0 p=60 d=1 I=0 P=0\nF={triangle}\n"
+
+
+@pytest.mark.parametrize("form", ["diagonal", "upper", "lower", "twosided-i", "twosided-ii"])
+def test_warm_calls_rebuild_nothing(form, monkeypatch, tmp_path, capsys):
+    # A spec keeps its row index and its report, and the right decision
+    # runs on the spec itself, so a second call of each entry rebuilds no
+    # index, runs no check and builds no reflection, whatever the spec's size
+    subsemigroups = importlib.import_module("bicyclic.subsemigroups")
+    iorder = importlib.import_module("bicyclic.iorder")
+    calls = []
+    for module, name in (
+        (subsemigroups, "_columns_by_row"),
+        (subsemigroups, "_validate_diagonal"),
+        (subsemigroups, "_validate_row_family"),
+        (subsemigroups, "_validate_two_sided"),
+        (iorder, "hat_spec"),
+    ):
+        def counting(*args, _name=name, _call=getattr(module, name)):
+            calls.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    parse_spec_unchecked.cache_clear()
+    text = _warm_text(form)
+    path = tmp_path / "warm.spec"
+    path.write_text(text)
+    spec = parse_spec(text)
+    assert spec.form == form
+    entries = {
+        "validate": lambda: validate(spec),
+        "decide_left_iorder": lambda: decide_left_iorder(spec),
+        "decide_right_iorder": lambda: decide_right_iorder(spec),
+        "contains": lambda: contains(spec, Element(1, 1)),
+        "coverage": lambda: coverage(spec, 12),
+        "render_window": lambda: render_window(spec, 12),
+        "cross_validate": lambda: cross_validate(spec, 12),
+        "decide --right": lambda: main(["decide", str(path), "--right"]),
+    }
+    for call in entries.values():
+        call()
+    assert calls
+    warm = {}
+    for name, call in entries.items():
+        calls.clear()
+        call()
+        warm[name] = list(calls)
+    capsys.readouterr()
+    assert warm == dict.fromkeys(entries, []), warm
+
+
 def test_caches_keep_the_last_specs_alive_and_no_others():
     # the parse cache and the scan memo each keep their last _CACHE_SIZE
     # entries, which name the same specs; a report lives on its spec

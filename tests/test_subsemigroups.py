@@ -22,6 +22,8 @@ from bicyclic import (
     Upper,
     closure_falsify,
     contains,
+    decide_left_iorder,
+    decide_right_iorder,
     hat,
     hat_spec,
     multiply,
@@ -127,8 +129,9 @@ class TestValidate:
         assert validate(spec).violations == (violation,)
 
     def test_non_spec_is_refused(self):
-        with pytest.raises(TypeError, match=r"^not a subsemigroup spec: \(0, 1\)$"):
-            validate((0, 1))
+        for call in (validate, decide_left_iorder, decide_right_iorder):
+            with pytest.raises(TypeError, match=r"^not a subsemigroup spec: \(0, 1\)$"):
+                call((0, 1))
 
     def test_invalid_spec_blocks_operations(self):
         spec = TwoSidedI(1, 3, 1, fs({2}), fs({0}))
