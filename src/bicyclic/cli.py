@@ -26,10 +26,12 @@ __all__ = ["main"]
 
 
 def _read_spec_text(path: str) -> str:
-    # open(), not Path(): Path("") is ".", which names a path never given
+    # open(), not Path(): Path("") is ".", which names a path never given.
+    # Bytes decoded once cost less than a text-mode read; the parser's
+    # splitlines() ends lines at \r\n and \r as text mode would.
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
 

@@ -7,7 +7,7 @@ from .subsemigroups import SubsemigroupSpec, _check_window, _grid, require_valid
 
 __all__ = list(_EXPORTS["render"])
 
-_MARKS = str.maketrans("01", ".#")
+_MARKS = bytes.maketrans(b"01", b".#")
 
 
 def render_window(spec: SubsemigroupSpec, window: int) -> str:
@@ -19,8 +19,10 @@ def render_window(spec: SubsemigroupSpec, window: int) -> str:
     require_valid(spec)
     _check_window(window)
     size = window + 1
-    # format() writes column 0 last, so each row's bits are reversed
-    return "\n".join(
-        " ".join(format(row, f"0{size}b")[::-1].translate(_MARKS))
-        for row in _grid(spec, size, size)
-    )
+    # format() writes column 0 last, so each row's bits are reversed; the
+    # marks go to every other byte, and each row's last gap ends its line
+    marks = "".join([format(row, f"0{size}b")[::-1] for row in _grid(spec, size, size)])
+    text = bytearray(b" ") * (2 * size * size)
+    text[::2] = marks.encode().translate(_MARKS)
+    text[2 * size - 1 :: 2 * size] = b"\n" * size
+    return text[:-1].decode()

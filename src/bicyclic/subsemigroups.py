@@ -20,6 +20,24 @@ upper orientation.  `contains` is the primitive at one column;
 rendering, the coverage member scan, `closure_falsify` and the
 identity-row checks of the decisions work on whole rows.
 
+Past a threshold T, the rows of the upper orientation repeat: row i is
+row i - d shifted up by `shift` columns once i - d >= T.  Per form:
+
+  row families  T = max(N, default_m, last override row + 1, last
+                finite row + 1), shift d: from T on a row has no
+                finite member and no override, is in I iff the row d
+                below is, and starts its progression at
+                max(default_m, i) = i
+  two-sided     T = p, shift 0: from p on every row is a square row,
+                starting at p + ((i - p) mod d) as the row d below does
+  diagonal      T = max(last element + 1, tail_N), d = shift = tail_d
+                (1 with no tail): from T on row i holds (i, i) iff i
+                is in the tail, as row i - d holds (i - d, i - d)
+
+`_grid` reads the rows below T + d with `row_bits` and shifts each later
+one from the row d below, for the coverage scan, the closure probe and
+rendering alike; `_last_start` reads the rows below T and the last d.
+
 Each class carries the facts that the modules downstream read in place
 of testing a spec's class.  They are class attributes, not fields, so
 they stay out of `repr`, equality, hashing and pickling:
@@ -34,6 +52,8 @@ they stay out of `repr`, equality, hashing and pickling:
                    the instance `__dict__`, as `_finite_columns` is,
                    so it stays out of `repr`, equality and hashing
                    but travels in pickles
+  _period          (T, d, shift) of the period rule above, kept as
+                   `_report` is
 
 The classification guarantees every subsemigroup has one of these
 shapes; the converse is not guaranteed, so the decision procedures
@@ -50,6 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, takewhile
 from typing import Iterator, Optional, Sequence, Union
 
 from . import _EXPORTS
@@ -183,6 +204,12 @@ def _columns_by_row(*parts: frozenset[Element]) -> dict[int, list[int]]:
     return columns
 
 
+def _threshold(columns: dict[int, list[int]], bound: int) -> int:
+    """The T of a spec's `_period`: `bound` raised past the last row of
+    its finite parts."""
+    return max(bound, max(columns, default=-1) + 1)
+
+
 def _finite_bits(columns: dict[int, list[int]], i: int, lo: int, width: int) -> int:
     """Bits of the indexed columns of row i among lo .. lo + width - 1."""
     row = columns.get(i)
@@ -221,6 +248,11 @@ class Diagonal:
     def _finite_columns(self) -> dict[int, list[int]]:
         return _columns_by_row(self.elements)
 
+    @cached_property
+    def _period(self) -> tuple[int, int, int]:
+        tail = self.tail or DiagonalTail(0, 1, 0)
+        return _threshold(self._finite_columns, tail.start), tail.step, tail.step
+
     def row_bits(self, i: int, lo: int, width: int) -> int:
         """Column bits lo .. lo + width - 1 of row i."""
         bits = _finite_bits(self._finite_columns, i, lo, width)
@@ -258,6 +290,11 @@ class _RowFamily:
     def _finite_columns(self) -> dict[int, list[int]]:
         # validation keeps each override's extras on its own row, inside I
         return _columns_by_row(self.diagonal_part, *(ov.extra for ov in self.rows.overrides))
+
+    @cached_property
+    def _period(self) -> tuple[int, int, int]:
+        bound = max(self.row_indices.start, self.rows.m_default, *(ov.row + 1 for ov in self.rows.overrides))
+        return _threshold(self._finite_columns, bound), self.step, self.step
 
     def _start(self, i: int) -> Optional[int]:
         """First column of row i's progression in the upper orientation, if any."""
@@ -316,6 +353,9 @@ class _TwoSided:
     def _finite_columns(self) -> dict[int, list[int]]:
         return _columns_by_row(self.diagonal_part, self.triangle_part)
 
+    # validation keeps every finite row below p
+    _period = cached_property(lambda self: (_threshold(self._finite_columns, self.p), self.step, 0))
+
     def _start(self, i: int) -> Optional[int]:
         """First column of row i's progression in the upper orientation, if any.
 
@@ -354,10 +394,14 @@ def _last_start(spec: _RowFamily | _TwoSided, rows: int) -> int:
     """The largest finite column or progression start of rows 0 .. rows-1, or 0.
 
     Read in the upper orientation: past it, each of those rows repeats
-    with period `spec.step`.
+    with period `spec.step`.  Only the rows below T and the last d rows
+    are read (T and d from `_period`): from T on a row has no finite
+    column, and its start repeats with period d (two-sided) or is the
+    row itself (row families), so the last d rows hold the largest.
     """
+    first, step, _ = spec._period
     last = 0
-    for i in range(rows):
+    for i in chain(range(min(rows, first)), range(max(first, rows - step), rows)):
         finite = spec._finite_columns.get(i)
         start = spec._start(i)
         last = max(last, finite[-1] if finite else 0, 0 if start is None else start)
@@ -587,11 +631,31 @@ def _blocks(rows: Sequence[int], width: int) -> list[int]:
 
 
 def _grid(spec: SubsemigroupSpec, rows: int, cols: int) -> list[int]:
-    """Column masks of rows 0 .. rows-1, over columns 0 .. cols-1."""
-    if not spec.reflected:
-        return [spec.row_bits(i, 0, cols) for i in range(rows)]
-    # A reflected grid is the transposed grid of the upper orientation.
-    return _transpose([spec.row_bits(j, 0, rows) for j in range(cols)], rows)
+    """Column masks of rows 0 .. rows-1, over columns 0 .. cols-1.
+
+    A reflected grid is the transposed grid of the upper orientation.
+    In that orientation, with (T, d, shift) the spec's `_period`, row i
+    is row i - d shifted up by `shift` columns once i - d >= T:
+
+    - row families, shift d: from T on, a row holds no finite member,
+      is in I iff the row d below is, and its progression starts at
+      max(default_m, i) = i;
+    - two-sided, T = p, shift 0: from p on, every row is a square row
+      that starts at p + ((i - p) mod d), the start of row i - d;
+    - diagonal, shift d = tail_d (1 with no tail): from T on, row i
+      holds (i, i) iff i is in the tail, as row i - d holds (i - d, i - d).
+
+    So only the rows below T + d are read with `row_bits`, and each
+    later one is a shift cut to the width.  A huge T or d leaves every
+    row to `row_bits`; no row past the grid is ever read.
+    """
+    n, width = (cols, rows) if spec.reflected else (rows, cols)
+    first, step, shift = spec._period
+    cut = (1 << max(width, 0)) - 1
+    upper = [spec.row_bits(i, 0, width) for i in range(min(n, first + step))]
+    for i in range(len(upper), n):
+        upper.append(upper[i - step] << shift & cut)
+    return _transpose(upper, width) if spec.reflected else upper
 
 
 def contains(spec: SubsemigroupSpec, x: Element) -> bool:
@@ -642,38 +706,43 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
     in row k unshifted, since x * (l, h) = (k, h), so the members of row
     k are all safe on the first side iff the OR of their B(l) is a
     subset of row k, which one product with the row's least member as x
-    checks.  A pass thus costs one product per nonempty member row and
-    one lookup per member, or none when no offset escapes, as on every
-    closed window.  Only a row that fails checks its members one by one,
-    and the first member that fails runs the per-row check above, which
-    names the first failing y in sorted order.
+    checks.  Only member rows are visited, and the scan for an offset
+    runs down them from the top, stopping at the first at or below l.
+    A pass thus costs one product per member row whose union is nonzero
+    and one lookup per member, or none when no offset escapes, as on
+    every closed window.  Only a row that fails checks its members one
+    by one, and the first member that fails runs the per-row check
+    above, which names the first failing y in sorted order.
     """
     require_valid(spec)
     _check_window(window)
     size = window + 1
     span = _grid(spec, 2 * window + 1, 2 * window + 1)
     rows = [row & ((1 << size) - 1) for row in span[:size]]
-    columns = [list(_set_bits(row)) for row in rows]
+    members = [(k, row, list(_set_bits(row))) for k, row in enumerate(rows) if row]
     # blocks[l] is B(l), which fits in 2 * window + 1 bits; last_escape[o]
-    # is the largest m, above the least l of the members with offset o,
-    # whose R[m] is outside row m + o, or -1
+    # is the largest member row m, above the least l of the members with
+    # offset o, whose R[m] is outside row m + o, or -1
     blocks = _blocks(rows, 2 * window + 1)
     # in (k, l) order the first member with offset o has the least l
     least: dict[int, int] = {}
-    for k, cols in enumerate(columns):
+    for k, _, cols in members:
         for l in cols:
             least.setdefault(k - l, l)
+    # the member rows top down: each scan stops at the first one at or below l
+    down = [k for k, _, _ in reversed(members)]
     last_escape = {
-        o: next((m for m in range(window, l, -1) if rows[m] & ~span[m + o]), -1)
+        o: next((m for m in takewhile(l.__lt__, down) if rows[m] & ~span[m + o]), -1)
         for o, l in least.items()
     }
     # with no offset escaping, every member passes its lookup
     escaping = any(m >= 0 for m in last_escape.values())
-    for k, cols in enumerate(columns):
+    for k, _, cols in members:
         union = 0
         for l in cols:
             union |= blocks[l]
-        # a nonzero union means the row has members
+        # the union is 0 when rows 0 .. l are empty for every member (k, l)
+        # of the row, and then no row lands in row k on this side
         if (not escaping or all(last_escape[k - l] <= l for l in cols)) and not (
             union and _escape(Element(k, cols[0]), cols[0], union, span)
         ):
@@ -682,8 +751,8 @@ def closure_falsify(spec: SubsemigroupSpec, window: int) -> Optional[ClosureFail
             x = Element(k, l)
             if last_escape[k - l] <= l and not (blocks[l] and _escape(x, l, blocks[l], span)):
                 continue
-            for m, row in enumerate(rows):
-                failure = row and _escape(x, m, row, span)
+            for m, row, _ in members:
+                failure = _escape(x, m, row, span)
                 if failure:
                     return failure
     return None

@@ -48,7 +48,9 @@ DECLARED = Path(__file__).with_name("declared_differences.json")
 # Argvs off the pinned shapes, for argparse to read: abbreviations, `=`,
 # options before the file, `--`, help, unknown and missing commands,
 # missing, extra and empty positionals, repeated options, and values that
-# are negative, not digits, not ASCII, or one digit past the int limit.
+# are negative, not digits, not ASCII, or one digit past the int limit;
+# and render and crosscheck at window 40, whose grids run past row T + d
+# of most specs, where `_grid` shifts rows instead of reading them.
 # No usage error here echoes SPEC, whose path differs between the trees.
 VARIANTS = (
     [["coverage", "SPEC", "--win", "3"], ["decide", "SPEC", "--ri"], ["render", "SPEC", "--window=3"]]
@@ -66,6 +68,7 @@ VARIANTS = (
     + [["coverage", "SPEC", "--window", "4", "--pairs", "3", "--pairs", "40"]]
     + [["render", "SPEC", "--window", v] for v in ("-1", "x", "٣", "+3", " 3", "3_0", "", "1" * 4301)]
     + [["coverage", "SPEC", "--window", "3", "--pairs", v] for v in ("-2", "y", "٤")]
+    + [["render", "SPEC", "--window", "40"], ["crosscheck", "SPEC", "--window", "40"]]
 )
 
 

@@ -8,7 +8,7 @@ from bicyclic import coverage, parse_spec
 from bicyclic import cli
 from bicyclic.cli import main
 from bicyclic.coverage import CoverageReport
-from golden import CORPUS_DIR, VALID_ENTRIES
+from golden import CORPUS, CORPUS_DIR, VALID_ENTRIES
 
 # the interpreter's int-to-string digit limit; 0 where there is none
 # (PYTHONINTMAXSTRDIGITS=0, or Python before 3.10.7)
@@ -248,6 +248,21 @@ def test_witness_that_fails_verification_is_an_error(monkeypatch, capsys):
     assert captured.err == "error=witness failed verification: q=(3,5) x=(0,3) y=(0,5) scheme=row0\n"
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_crlf_and_cr_spec_files_read_as_lf(newline, tmp_path, capsys):
+    # the spec file is read as bytes and decoded once: its lines must end
+    # where text mode ends them
+    for entry in CORPUS:
+        twin = tmp_path / f"{entry.name}.spec"
+        twin.write_bytes(entry.path.read_bytes().replace(b"\n", newline))
+        for argv in (["classify"], ["decide"], ["coverage", "--window", "4"]):
+            outcomes = []
+            for path in (entry.path, twin):
+                code = main([argv[0], str(path), *argv[1:]])
+                outcomes.append((code, capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], (entry.name, argv)
+
+
 def test_render_byte_exact(capsys):
     assert main(["render", corpus("r1"), "--window", "2"]) == 0
     assert capsys.readouterr().out == "# # #\n. . .\n. . .\n"
@@ -278,6 +293,16 @@ def test_coverage_with_gaps(capsys):
 def test_coverage_pairs_override(capsys):
     assert main(["coverage", corpus("r1"), "--window", "3", "--pairs", "3"]) == 0
     assert "pair_bound=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pairs", ["-2", "-1000000"])
+def test_coverage_pair_bounds_below_minus_one_scan_no_members(pairs, capsys):
+    # the scan's grid has -1 rows and columns, on every form
+    for entry in VALID_ENTRIES:
+        assert main(["coverage", str(entry.path), "--window", "3", "--pairs", pairs]) == 1
+        gaps = [f"gap=({i},{j})" for i in range(4) for j in range(4)]
+        head = ["window=3", f"pair_bound={pairs}", "covered=0", "gaps=16"]
+        assert capsys.readouterr().out.splitlines() == head + gaps, entry.name
 
 
 def test_lower_spec_with_a_far_row_is_refused_not_refuted(tmp_path, capsys):

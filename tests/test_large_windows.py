@@ -1,9 +1,10 @@
-"""Large windows: coverage and crosscheck past the transcripts' windows 0-12.
+"""Large windows: coverage, crosscheck and render past the transcripts' windows 0-12.
 
 `large_windows.json` holds, for each valid corpus spec and each command
 in `ARGVS`, the exit code and a digest of stdout.  At window 500 the
-coverage engine's masks run to 501 bits, and at window 80 crosscheck
-runs the engine and the closure probe on a grid past 64 columns; a change
+coverage engine's masks run to 501 bits, at window 80 crosscheck
+runs the engine and the closure probe on a grid past 64 columns, and
+render writes 501 rows, most of them shifts of the rows below; a change
 that alters an exit code or a byte of stdout there fails here.  Five
 specs are refused at window 80, as their default pair bound is 501, past
 the limit; the refusal is pinned as well.
@@ -27,6 +28,7 @@ RECORD = Path(__file__).resolve().parent / "large_windows.json"
 ARGVS = (
     ["coverage", "SPEC", "--window", "500", "--pairs", "500"],
     ["crosscheck", "SPEC", "--window", "80"],
+    ["render", "SPEC", "--window", "500"],
 )
 VALID = [entry for entry in CORPUS if entry.valid]
 

@@ -43,7 +43,7 @@ from bicyclic import (
 )
 from bicyclic.cli import main
 from bicyclic.specfile import SpecSyntaxError, parse_spec_unchecked
-from bicyclic.subsemigroups import _CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _blocks, _grid, _set_bits, _transpose
+from bicyclic.subsemigroups import _CACHE_SIZE, WINDOW_LIMIT, _SPARSE, _blocks, _grid, _last_start, _set_bits, _transpose
 from golden import CORPUS_DIR
 from test_cli import INT_STR_DIGITS, needs_int_str_limit
 from test_random_specs import random_diagonal, random_row_family, random_two_sided, subset
@@ -148,7 +148,68 @@ def test_grids_equal_the_oracle(corpus_specs):
             assert grid_cells(spec, rows, cols) == expected, (spec, rows, cols)
             below_diagonal += any(e.j < e.i for e in expected)
         assert _grid(spec, 0, 5) == [] and _grid(spec, 3, 0) == [0, 0, 0]
+        # coverage's scan at a pair bound below -1
+        assert _grid(spec, -1, -1) == [] and _grid(spec, 0, 0) == []
     assert below_diagonal > 200
+
+
+def row_by_row(spec, rows, cols):
+    """The grid read with `row_bits` on every row, as `_grid` read it
+    before the period rule."""
+    if spec.reflected:
+        return _transpose([spec.row_bits(j, 0, rows) for j in range(cols)], rows)
+    return [spec.row_bits(i, 0, cols) for i in range(rows)]
+
+
+def last_start_by_row(spec, rows):
+    """`_last_start` read on every row, as it was before the period rule."""
+    last = 0
+    for i in range(rows):
+        finite = spec._finite_columns.get(i)
+        start = spec._start(i)
+        last = max(last, finite[-1] if finite else 0, 0 if start is None else start)
+    return last
+
+
+def far_specs(seed, count):
+    """`count` valid specs with far parameters: an override m that starts
+    its row past every grid here, or a d, tail_d or p that puts T + d
+    past them."""
+    rng = random.Random(seed)
+    specs = []
+    for n in range(count):
+        form = rng.choice(("upper", "lower"))
+        d = rng.randint(1, 3)
+        texts = (
+            f"form={form}\nd={d} N=1 I0=0 R=\nrow=0 m={rng.randint(122, 1000)}\n",
+            f"form={form}\nd=1 N=0 I0= R=0\nrow={rng.randint(0, 5)} m={10**18}\n",
+            f"form=lower\nd={10**18} N=2 I0=0,1 R=0,{rng.randint(1, 10**6)}\n",
+            f"form=diagonal\nelements=(1,1)\ntail_N={rng.randint(0, 9)} tail_d={10**18} tail_r={rng.randint(0, 99)}\n",
+            f"form=twosided-ii\nq=0 p={10**18} d={d} I=0,{rng.randint(1, 99)} P=0\n",
+        )
+        specs.append(parse_spec(texts[n % len(texts)]))
+    return specs
+
+
+def test_grids_follow_the_period_rule(corpus_specs):
+    # past row T + d of the upper orientation every row is a shift: the
+    # grid and the last start must equal the ones read row by row, at
+    # sizes short of T + d and past it, and on far specs
+    rng = random.Random(31)
+    specs = list(corpus_specs.values()) + random_specs(37, 1500) + overridden_row_families(41, 200)
+    specs += far_specs(43, 250)
+    past = far = 0
+    for spec in specs:
+        first, step, _ = spec._period
+        edge = min(first + step + 2, 121)
+        sizes = {(1, 1), (121, 121), (edge, 9), (9, edge), (rng.randint(1, 121), rng.randint(1, 121))}
+        for rows, cols in sizes:
+            assert _grid(spec, rows, cols) == row_by_row(spec, rows, cols), (spec, rows, cols)
+            past += (cols if spec.reflected else rows) > first + step
+            if spec.form != "diagonal":
+                assert _last_start(spec, rows) == last_start_by_row(spec, rows), (spec, rows)
+        far += first + step > 121
+    assert past > 3000 and far == 150, (past, far)
 
 
 def walked_transpose(rows, width):
@@ -295,8 +356,10 @@ def test_closure_probe_is_quadratic_in_the_window():
 
 
 def test_closure_probe_multiplies_once_per_member_row(corpus_specs, monkeypatch):
-    # counts, not the clock: one block product per nonempty member row;
-    # one per member was 225 at window 16 on twosided_ii_all_columns
+    # counts, not the clock: on a closed window, one block product per
+    # member row whose union of B(l) is nonzero, and none on a row whose
+    # union is 0, as rows 0 .. l are empty for each of its members (k, l);
+    # one product per member was 225 at window 16 on twosided_ii_all_columns
     subsemigroups = importlib.import_module("bicyclic.subsemigroups")
     products = 0
 
@@ -305,13 +368,25 @@ def test_closure_probe_multiplies_once_per_member_row(corpus_specs, monkeypatch)
         products += 1
         return multiply(x, y)
 
+    # column 2 from row 5 down: rows 0 .. 2 are empty
+    column = Lower(fs(), IndexSet(fs({2}), fs(), 3, 1), RowData(0, (RowOverride(2, 5),)))
+    cases = [(spec, window) for spec in corpus_specs.values() for window in (16, 160)]
+    cases += [(column, 16), (column, 160)]
+    cases += [(spec, 12) for spec in random_specs(47, 300) if closure_falsify(spec, 12) is None]
     monkeypatch.setattr(subsemigroups, "multiply", counting)
-    for name, spec in corpus_specs.items():
-        for window in (16, 160):
-            products = 0
-            assert closure_falsify(spec, window) is None, (name, window)
-            member_rows = sum(1 for row in _grid(spec, window + 1, window + 1) if row)
-            assert products <= member_rows, (name, window, products, member_rows)
+    zero = 0
+    for spec, window in cases:
+        rows = _grid(spec, window + 1, window + 1)
+        blocks = _blocks(rows, 2 * window + 1)
+        unions = [0] * len(rows)
+        for k, row in enumerate(rows):
+            for l in _set_bits(row):
+                unions[k] |= blocks[l]
+        products = 0
+        assert closure_falsify(spec, window) is None, (spec, window)
+        assert products == sum(map(bool, unions)), (spec, window)
+        zero += sum(1 for row, union in zip(rows, unions) if row and not union)
+    assert len(cases) > 250 and zero > 250, (len(cases), zero)
     products = 0
     closure_falsify(corpus_specs["twosided_ii_all_columns"], 16)
     assert products == 15
@@ -561,6 +636,7 @@ def test_warm_calls_rebuild_nothing(form, monkeypatch, tmp_path, capsys):
     calls = []
     for module, name in (
         (subsemigroups, "_columns_by_row"),
+        (subsemigroups, "_threshold"),
         (subsemigroups, "_validate_diagonal"),
         (subsemigroups, "_validate_row_family"),
         (subsemigroups, "_validate_two_sided"),
