@@ -6,7 +6,7 @@ describes subsemigroups by the five-form classification, decides which of
 them are left (and right) I-orders, produces verified straight
 decompositions q = inverse(x) * y with x R y, checked through a max-plus
 matrix image of the monoid that shares no code with the arithmetic, and
-cross-validates every decision against a brute-force coverage oracle.
+cross-validates every decision against a window coverage scan.
 
 The names below are loaded on first use (PEP 562): `import bicyclic`
 imports no submodule, and reading a name imports the one submodule that

@@ -15,6 +15,16 @@ Integer lists are comma separated, element lists look like (0,0),(1,2),
 and an empty value denotes the empty set.  Unknown or misplaced keys are
 errors; parsing ends with validation, so a syntactically fine file with
 inconsistent parameters is rejected too.
+
+A text with several faults raises the first in this order: syntax and
+duplicate-key errors in line order (a row line's own tokens in token
+order); then a missing or unknown form; then keys the form does not
+take; then row lines on a form other than upper or lower; then each
+form's keys in the order the parser reads them:
+
+    diagonal      elements, the all-or-none tail check, tail_N, tail_d, tail_r
+    upper/lower   I0, R, N, d, default_m, FD
+    twosided-*    q, p, d, I, P, FD, F
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _EXPORTS
-from .elements import Element
+from .elements import _ELEMENT_RE, Element
 from .subsemigroups import (
     _CACHE_SIZE,
     Diagonal,
@@ -71,7 +81,6 @@ _KEYS_BY_FORM = {
 
 # ASCII digits only: str.isdigit also passes digits such as "²" that int() refuses.
 _INT_RE = re.compile(r"[0-9]+")
-_ELEMENT_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
 
 
 def _int(text: str, key: str, line_no: int) -> int:
@@ -102,6 +111,9 @@ def _parse_int_set(value: str, key: str, line_no: int) -> frozenset[int]:
 def _parse_elements(value: str, key: str, line_no: int) -> frozenset[Element]:
     if value == "":
         return frozenset()
+    # The pattern that parse_element uses admits spaces inside an element,
+    # but a value comes from str.split(), which leaves no character that
+    # \s matches, so here it reads exactly (i,j).
     matches = list(_ELEMENT_RE.finditer(value))
     rebuilt = ",".join(m.group(0) for m in matches)
     if rebuilt != value:
@@ -121,24 +133,21 @@ def _split_tokens(line: str, line_no: int) -> list[tuple[str, str]]:
     return tokens
 
 
+_ROW_KEYS = {"m": _parse_int, "F": _parse_elements}
+
+
 def _parse_row_line(tokens: list[tuple[str, str]], line_no: int) -> RowOverride:
     row = _parse_int(tokens[0][1], "row", line_no)
-    m: Optional[int] = None
-    extra: frozenset[Element] = frozenset()
-    seen = set()
+    parsed = {}
     for key, value in tokens[1:]:
-        if key in seen:
+        if key in parsed:
             raise SpecSyntaxError(f"duplicate key {key!r} on row line", line_no)
-        seen.add(key)
-        if key == "m":
-            m = _parse_int(value, "m", line_no)
-        elif key == "F":
-            extra = _parse_elements(value, "F", line_no)
-        else:
+        if key not in _ROW_KEYS:
             raise SpecSyntaxError(f"unknown key {key!r} on row line", line_no)
-    if m is None:
+        parsed[key] = _ROW_KEYS[key](value, key, line_no)
+    if "m" not in parsed:
         raise SpecSyntaxError("row line needs m=<int>", line_no)
-    return RowOverride(row, m, extra)
+    return RowOverride(row, parsed["m"], parsed.get("F", frozenset()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -155,8 +164,7 @@ def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
     once.  A text with a syntax error raises every time, as exceptions
     are not cached.
     """
-    values: dict[str, str] = {}
-    value_lines: dict[str, int] = {}
+    fields: dict[str, tuple[str, int]] = {}
     rows: list[RowOverride] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -170,64 +178,59 @@ def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
         for key, value in tokens:
             if key == "row":
                 raise SpecSyntaxError("row must start its own line", line_no)
-            if key in values:
+            if key in fields:
                 raise SpecSyntaxError(f"duplicate key {key!r}", line_no)
-            values[key] = value
-            value_lines[key] = line_no
+            fields[key] = (value, line_no)
 
-    if "form" not in values:
+    if "form" not in fields:
         raise SpecSyntaxError("missing form=<diagonal|upper|lower|twosided-i|twosided-ii>")
-    form = values.pop("form")
+    form, form_line = fields.pop("form")
     if form not in _CLASSES:
-        raise SpecSyntaxError(f"unknown form {form!r}", value_lines["form"])
+        raise SpecSyntaxError(f"unknown form {form!r}", form_line)
     cls = _CLASSES[form]
     allowed = _KEYS_BY_FORM[form]
-    for key in values:
+    for key, (_, line_no) in fields.items():
         if key not in allowed:
-            raise SpecSyntaxError(f"unknown key {key!r} for form={form}", value_lines[key])
+            raise SpecSyntaxError(f"unknown key {key!r} for form={form}", line_no)
     if rows and form not in ("upper", "lower"):
         raise SpecSyntaxError(f"row lines are not allowed for form={form}")
 
-    def need(key: str) -> str:
-        if key not in values:
+    def read(key: str, parse, default=None):
+        if key in fields:
+            value, line_no = fields[key]
+            return parse(value, key, line_no)
+        if default is None:
             raise SpecSyntaxError(f"form={form} requires {key}=<...>")
-        return values[key]
-
-    def intval(key: str) -> int:
-        return _parse_int(need(key), key, value_lines[key])
+        return default
 
     if form == "diagonal":
-        elements = _parse_elements(values.get("elements", ""), "elements", value_lines.get("elements", 0))
-        tail_keys = [k for k in ("tail_N", "tail_d", "tail_r") if k in values]
+        elements = read("elements", _parse_elements, frozenset())
+        tail_keys = [k for k in ("tail_N", "tail_d", "tail_r") if k in fields]
         tail = None
         if tail_keys:
             if len(tail_keys) != 3:
                 raise SpecSyntaxError("tail needs all of tail_N, tail_d, tail_r")
-            tail = DiagonalTail(intval("tail_N"), intval("tail_d"), intval("tail_r"))
+            tail = DiagonalTail(read("tail_N", _parse_int), read("tail_d", _parse_int), read("tail_r", _parse_int))
         return Diagonal(elements, tail)
 
     if form in ("upper", "lower"):
         index_set = IndexSet(
-            fixed=_parse_int_set(values.get("I0", ""), "I0", value_lines.get("I0", 0)),
-            residues=_parse_int_set(values.get("R", ""), "R", value_lines.get("R", 0)),
-            start=intval("N"),
-            step=intval("d"),
+            fixed=read("I0", _parse_int_set, frozenset()),
+            residues=read("R", _parse_int_set, frozenset()),
+            start=read("N", _parse_int),
+            step=read("d", _parse_int),
         )
-        row_data = RowData(
-            m_default=_parse_int(values.get("default_m", "0"), "default_m", value_lines.get("default_m", 0)),
-            overrides=tuple(rows),
-        )
-        diagonal_part = _parse_elements(values.get("FD", ""), "FD", value_lines.get("FD", 0))
-        return cls(diagonal_part, index_set, row_data)
+        row_data = RowData(m_default=read("default_m", _parse_int, 0), overrides=tuple(rows))
+        return cls(read("FD", _parse_elements, frozenset()), index_set, row_data)
 
     return cls(
-        q=intval("q"),
-        p=intval("p"),
-        step=intval("d"),
-        row_indices=_parse_int_set(need("I"), "I", value_lines["I"]),
-        offsets=_parse_int_set(need("P"), "P", value_lines["P"]),
-        diagonal_part=_parse_elements(values.get("FD", ""), "FD", value_lines.get("FD", 0)),
-        triangle_part=_parse_elements(values.get("F", ""), "F", value_lines.get("F", 0)),
+        q=read("q", _parse_int),
+        p=read("p", _parse_int),
+        step=read("d", _parse_int),
+        row_indices=read("I", _parse_int_set),
+        offsets=read("P", _parse_int_set),
+        diagonal_part=read("FD", _parse_elements, frozenset()),
+        triangle_part=read("F", _parse_elements, frozenset()),
     )
 
 

@@ -7,6 +7,10 @@ runs of `test_large_windows.ARGVS` and the argv variants of `VARIANTS`,
 on each corpus file and on N specs drawn with seed S from
 `test_cli_transcripts`' generators (one in five fills row 0 by finite
 parts), once against each tree; the variants that name no spec run once.
+Each spec text with a line of two or more key=value tokens, other than
+a form= or row= line, also has a faulted twin (see `faulted`), named
+`<name>~fault`, on which `classify` and `decide` run, so the trees must
+report the same first error of a spec with several faults.
 Each tree runs in its own subprocess, with only its `src` on the import
 path.  Exit code, stdout and stderr are compared run by run.  A run whose
 CLI raises records `raised <ExceptionType>` as its exit code, with empty
@@ -71,6 +75,31 @@ VARIANTS = (
     + [["render", "SPEC", "--window", "40"], ["crosscheck", "SPEC", "--window", "40"]]
 )
 
+# The runs of each spec's faulted twin: both read the parse error, and
+# decide reads it through parse_spec's path, classify through the
+# unchecked one.
+FAULT_ARGVS = [["classify", "SPEC"], ["decide", "SPEC"]]
+
+
+def faulted(text: str) -> str | None:
+    """`text` with two faults on its first line of two or more key=value
+    tokens that is not a form= or row= line, or None if it has no such line.
+
+    The line loses its first token, which leaves that key missing, and
+    its last token's value becomes `x`, which no key reads; the twin's
+    error shows which of the faults the parser meets first.
+    """
+    lines = text.splitlines()
+    for n, line in enumerate(lines):
+        tokens = line.split("#", 1)[0].split()
+        if len(tokens) < 2 or not all("=" in token for token in tokens):
+            continue
+        if tokens[0].partition("=")[0] in ("form", "row"):
+            continue
+        lines[n] = " ".join(tokens[1:-1] + [tokens[-1].partition("=")[0] + "=x"])
+        return "\n".join(lines) + "\n"
+    return None
+
 
 def declared_mismatch(differing: list, declared: list) -> tuple[list, list]:
     """The differing runs that are not declared, and the declared runs
@@ -122,6 +151,11 @@ def _worker(seed: int, count: int) -> None:
             path.write_text(text, encoding="utf-8")
             for argv in argvs:
                 print(json.dumps([name, " ".join(argv), *_outcome(argv, path)]))
+            twin = faulted(text)
+            if twin is not None:
+                path.write_text(twin, encoding="utf-8")
+                for argv in FAULT_ARGVS:
+                    print(json.dumps([f"{name}~fault", " ".join(argv), *_outcome(argv, path)]))
 
 
 def _start(src: Path, seed: int, count: int, out) -> subprocess.Popen:

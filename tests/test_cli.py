@@ -248,13 +248,15 @@ def test_witness_that_fails_verification_is_an_error(monkeypatch, capsys):
     assert captured.err == "error=witness failed verification: q=(3,5) x=(0,3) y=(0,5) scheme=row0\n"
 
 
-@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
-def test_crlf_and_cr_spec_files_read_as_lf(newline, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "newline, bom", [(b"\r\n", b""), (b"\r", b""), (b"\n", b"\xef\xbb\xbf")], ids=["\r\n", "\r", "bom"]
+)
+def test_crlf_and_cr_spec_files_read_as_lf(newline, bom, tmp_path, capsys):
     # the spec file is read as bytes and decoded once: its lines must end
-    # where text mode ends them
+    # where text mode ends them, and a UTF-8 byte order mark is no text
     for entry in CORPUS:
         twin = tmp_path / f"{entry.name}.spec"
-        twin.write_bytes(entry.path.read_bytes().replace(b"\n", newline))
+        twin.write_bytes(bom + entry.path.read_bytes().replace(b"\n", newline))
         for argv in (["classify"], ["decide"], ["coverage", "--window", "4"]):
             outcomes = []
             for path in (entry.path, twin):

@@ -135,6 +135,66 @@ class TestSyntaxErrors:
             parse_spec("form=upper\nd=1\nN=1\nI0=0\njust some words")
 
 
+# A spec with several faults reports the first in the order that the
+# specfile module's docstring states.
+FIRST_FAULT = {
+    "form=upper\nI0=x": "line 2: I0 expects comma-separated integers, got 'x'",
+    "form=upper\nd=1": "form=upper requires N=<...>",
+    "form=upper\nN=1 default_m=x FD=bad": "form=upper requires d=<...>",
+    "form=upper\nd=1 N=1 default_m=x FD=bad": "line 2: default_m expects a nonnegative integer, got 'x'",
+    "form=upper\nd=1 N=1 R=y FD=bad default_m=z": "line 2: R expects comma-separated integers, got 'y'",
+    "form=upper\nd=x N=y": "line 2: N expects a nonnegative integer, got 'y'",
+    "form=lower\nzz=1": "line 2: unknown key 'zz' for form=lower",
+    "form=twosided-i\nP=x": "form=twosided-i requires q=<...>",
+    "form=twosided-ii\nq=0 p=x": "line 2: p expects a nonnegative integer, got 'x'",
+    "form=twosided-i\nq=0 p=2 d=1 P=x": "form=twosided-i requires I=<...>",
+    "form=twosided-i\nq=0 p=0 d=z I=x": "line 2: d expects a nonnegative integer, got 'z'",
+    "form=twosided-i\nq=0 p=0 d=1 I=0 P=0 FD=bad F=bad2": (
+        "line 2: FD expects elements like (0,0),(1,2) with no spaces, got 'bad'"
+    ),
+    "form=diagonal\nelements=bad tail_N=1": (
+        "line 2: elements expects elements like (0,0),(1,2) with no spaces, got 'bad'"
+    ),
+    "form=diagonal\ntail_N=x tail_d=1": "tail needs all of tail_N, tail_d, tail_r",
+    "form=diagonal\ntail_N=1 tail_d=x tail_r=y": "line 2: tail_d expects a nonnegative integer, got 'x'",
+    "form=upper\nrow=1 m=x\nrow=1 zz=1": "line 2: m expects a nonnegative integer, got 'x'",
+    "form=upper\nrow=1 m=1 zz=1 m=2": "line 2: unknown key 'zz' on row line",
+    "form=upper\nrow=1 m=1 m=x": "line 2: duplicate key 'm' on row line",
+    "form=diagonal\nrow=0 m=0 zz=1": "line 2: unknown key 'zz' on row line",
+    "form=diagonal\nzz=1\nrow=0 m=0": "line 2: unknown key 'zz' for form=diagonal",
+    "d=1\nform=nope zz=1": "line 2: unknown form 'nope'",
+    "zz=1\nrow=0 m=x": "line 2: m expects a nonnegative integer, got 'x'",
+    "d=1 d=2": "line 1: duplicate key 'd'",
+    "form=upper\nrow=1 F=bad m=x": "line 2: F expects elements like (0,0),(1,2) with no spaces, got 'bad'",
+}
+
+
+@pytest.mark.parametrize("text", FIRST_FAULT)
+def test_first_fault_reported(text):
+    with pytest.raises(SpecSyntaxError) as excinfo:
+        parse_spec_unchecked(text)
+    assert str(excinfo.value) == FIRST_FAULT[text]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("form=diagonal\ntail_N=1 tail_d=1 tail_r=0", "elements="),
+        ("form=upper\nd=1 N=1", "I0="),
+        ("form=lower\nd=1 N=1", "R="),
+        ("form=upper\nd=1 N=1", "FD="),
+        ("form=lower\nd=1 N=1", "default_m=0"),
+        ("form=twosided-i\nq=0 p=0 d=1 I=0 P=0", "FD="),
+        ("form=twosided-ii\nq=0 p=0 d=1 I=0 P=0", "F="),
+    ],
+)
+def test_optional_key_left_out_reads_as_empty(text, key):
+    absent = parse_spec_unchecked(text)
+    given = parse_spec_unchecked(f"{text}\n{key}")
+    assert absent == given
+    assert hash(absent) == hash(given)
+
+
 def test_corpus_validity_outcomes():
     for entry in CORPUS:
         spec = parse_spec_unchecked(entry.text())
