@@ -162,12 +162,13 @@ def parse_spec_unchecked(text: str) -> SubsemigroupSpec:
     benchmark's and the differential's workers), each repeat being the
     next command on the same text; a one-command CLI process parses
     once.  A text with a syntax error raises every time, as exceptions
-    are not cached.
+    are not cached.  A leading byte order mark is dropped, as a spec
+    saved with one and read as text starts with it.
     """
     fields: dict[str, tuple[str, int]] = {}
     rows: list[RowOverride] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -6,7 +6,9 @@ so rewriting terminates, and the system is confluent, so the surviving word
 a^i b^j is independent of the deletion order.  This gives a multiplication
 oracle that shares no code with the coordinate formula in
 `bicyclic.elements`.  It spells out every letter, so keep the coordinates
-small.
+small.  `normalize_by_scan` reduces a word in one left-to-right scan, a
+letter per step; it is the reference for the packed walk of
+`bicyclic.words`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,28 @@ def _check_alphabet(word: str) -> None:
     for ch in word:
         if ch not in "ab":
             raise ValueError(f"invalid letter {ch!r}: words use the alphabet {{a, b}}")
+
+
+def normalize_by_scan(word: str) -> Element:
+    """Reduce a word over {a, b} to its normal form exponent pair.
+
+    Single left-to-right scan: a leading block of a's can never cancel,
+    and each later 'a' cancels the most recent surviving 'b'.  One
+    Python step per letter, the reference the packed walk of
+    `word_normalize` is checked against, errors included.
+    """
+    i = j = 0
+    for ch in word:
+        if ch == "a":
+            if j:
+                j -= 1
+            else:
+                i += 1
+        elif ch == "b":
+            j += 1
+        else:
+            raise ValueError(f"invalid letter {ch!r}: words use the alphabet {{a, b}}")
+    return Element(i, j)
 
 
 def normalize_by_deletion(word: str, leftmost: bool = True) -> Element:

@@ -38,6 +38,9 @@ def test_normalize(capsys):
 def test_normalize_bad_word(capsys):
     assert main(["normalize", "abc"]) == 2
     assert "error=" in capsys.readouterr().err
+    # a non-UTF-8 argv byte reaches main as a lone surrogate, named by its escape
+    assert main(["normalize", "a\udcffb"]) == 2
+    assert capsys.readouterr().err == "error=invalid letter '\\udcff': words use the alphabet {a, b}\n"
 
 
 def test_bad_element_is_an_error(capsys):

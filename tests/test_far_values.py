@@ -14,16 +14,21 @@ int raises.  The spec texts and argvs take the text as it is.  Past the
 limit, `--pairs F` is argparse's usage error, as every int option is.
 A far F costs no more memory than a near one: each run's peak at
 F = 10**6, 10**18 and 10**100 is at most its F = 5 twin's plus 4 KB.
+
+`normalize` on a word of 10**6 letters exits 0 with the scan's answer,
+and its peak stays under 2.5 bytes a letter.
 """
 
 import contextlib
 import gc
 import io
+import random
 import tracemalloc
 
 import pytest
 
 from bicyclic.cli import main
+from rewriting_oracle import normalize_by_scan
 from test_cli import INT_STR_DIGITS, needs_int_str_limit
 
 FORMS = {
@@ -50,6 +55,7 @@ WINDOWS = (-1, 0, 12, 501)
 PEAK_BYTES = 2_000_000
 # how far a far F's peak may exceed its F = 5 twin's
 FAR_PEAK_SLACK = 4096
+LONG_WORD = 10**6
 
 
 def argvs(path, far):
@@ -132,3 +138,18 @@ def test_far_values_cost_no_more_memory_than_near_ones(tmp_path, form):
             if peak > twin + FAR_PEAK_SLACK:
                 over.append((name, argv, peak, twin))
     assert over == []
+
+
+def test_normalize_long_word_in_bounded_memory():
+    word = "".join(random.Random(1_000_003).choices("ab", k=LONG_WORD))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["normalize", word])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.5 * LONG_WORD
+    assert out.getvalue() == f"{normalize_by_scan(word)}\n"

@@ -195,6 +195,17 @@ def test_optional_key_left_out_reads_as_empty(text, key):
     assert hash(absent) == hash(given)
 
 
+def test_leading_byte_order_mark_is_dropped():
+    # as Path.read_text() leaves it on a spec saved with a UTF-8 byte order mark
+    assert parse_spec("\ufeffform=upper\nd=1 N=0 I0= R=0") == parse_spec("form=upper\nd=1 N=0 I0= R=0")
+    for entry in CORPUS:
+        assert parse_spec_unchecked("\ufeff" + entry.text()) == parse_spec_unchecked(entry.text()), entry.name
+    # anywhere else it is text: here it is part of a key, on line 2
+    with pytest.raises(SpecSyntaxError) as excinfo:
+        parse_spec_unchecked("form=upper\n\ufeffN=0 d=1 I0= R=0")
+    assert str(excinfo.value) == "line 2: unknown key '\\ufeffN' for form=upper"
+
+
 def test_corpus_validity_outcomes():
     for entry in CORPUS:
         spec = parse_spec_unchecked(entry.text())
